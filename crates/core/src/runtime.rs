@@ -240,28 +240,15 @@ impl FaultState {
     }
 }
 
-/// Attached cycle-profiler state: per-slot phase accumulators keyed off
-/// the always-on [`SlotTotals`], so the armed hot-path cost is a few
-/// integer adds per source per frame (and one batched add per quiet
-/// chunk). Compute cycles are *derived* at snapshot time as
-/// `busy − ingest − quiet − drain`, so the four phases tile each slot's
-/// busy cycles exactly and the hot path never touches a fourth array.
-#[derive(Debug)]
-struct ProfileState {
-    /// Stable pipeline label the profile attributes cycles under.
-    pipeline: &'static str,
-    /// Sample rate used to convert busy cycles to window power/energy.
-    sample_rate_hz: u32,
-    /// Source-ingest cycles per slot (scalar-path frames).
-    ingest: Vec<u64>,
-    /// Batched quiet-chunk cycles per slot (`push_block` fast path).
-    quiet: Vec<u64>,
-    /// End-of-stream flush cycles per slot.
-    drain: Vec<u64>,
-}
-
 /// Sentinel slot index for "no node designated" (radio/MCU/probe taps).
 const NO_SLOT: usize = usize::MAX;
+
+/// Modeled NoC serialization cost per byte (interconnect links clock at
+/// the radio ceiling's byte rate).
+const NS_PER_LINK_BYTE: f64 = 1.0e9 / Fabric::LINK_CAPACITY_BYTES_PER_S as f64;
+
+/// Modeled radio serialization cost per byte at the 46 Mbps paper ceiling.
+const NS_PER_RADIO_BYTE: f64 = 8.0e9 / RADIO_CEILING_BPS;
 
 /// Collects the byte stream headed for the radio, applying the same block
 /// framing the monolithic codecs use so compression outputs can be
@@ -322,6 +309,12 @@ impl RadioCollector {
 /// handful of integer adds per token and never observe the sink — so
 /// [`crate::metrics::TaskMetrics::pe_activity`] is identical whether a
 /// recorder, a [`NullSink`], or nothing at all is attached.
+///
+/// The three phase counters split `busy_cycles` for the cycle profile
+/// ([`Runtime::profile_snapshot`]); compute is the remainder. Which phase
+/// a frame's cycles land in depends on the dispatch mode (a quiet chunk
+/// charges `quiet_cycles`, the same frames pushed one by one charge
+/// `ingest_cycles`); every other counter is identical either way.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SlotTotals {
     /// Modeled busy cycles (tokens in × the kind's cycles-per-token).
@@ -336,6 +329,12 @@ pub struct SlotTotals {
     pub tokens_in: u64,
     /// Tokens pulled out of the slot.
     pub tokens_out: u64,
+    /// Busy cycles spent ingesting source samples on the per-frame path.
+    pub ingest_cycles: u64,
+    /// Busy cycles of source samples delivered in batched quiet chunks.
+    pub quiet_cycles: u64,
+    /// Busy cycles spent flushing the pipeline at [`Runtime::finish`].
+    pub drain_cycles: u64,
 }
 
 /// The per-task streaming engine.
@@ -382,8 +381,8 @@ pub struct Runtime {
     window_start: u64,
     sample_rate_hz: u32,
     /// Wall nanoseconds per busy cycle per slot at each domain's anchor
-    /// frequency — converts busy-cycle deltas to latency samples. Filled
-    /// by [`Runtime::attach_telemetry`]; empty (and unread) otherwise.
+    /// frequency — converts busy-cycle deltas to latency samples and span
+    /// costs.
     ns_per_cycle: Vec<f64>,
     /// Per-slot busy cycles at the start of the in-flight frame — scratch
     /// for the end-to-end frame-latency sample (telemetry only).
@@ -396,11 +395,6 @@ pub struct Runtime {
     /// Untraced frames cost one sampler check; traced frames take the
     /// generic propagation path and record per-delivery spans.
     tracer: Option<Arc<Tracer>>,
-    /// Modeled NoC serialization cost (interconnect links clock at the
-    /// radio ceiling's byte rate). Filled by [`Runtime::attach_tracing`].
-    ns_per_link_byte: f64,
-    /// Modeled radio serialization cost at the 46 Mbps paper ceiling.
-    ns_per_radio_byte: f64,
     /// Batched quiet-frame dispatch toggle (on by default). Quiet
     /// stretches — upcoming whole frames guaranteed to produce zero
     /// output tokens at every source PE — are delivered through one
@@ -422,10 +416,6 @@ pub struct Runtime {
     /// ≤2% the same way as tracing (`fault_overhead` in
     /// `BENCH_runtime.json`).
     faults: Option<Box<FaultState>>,
-    /// Attached cycle profiler, or `None` — disabled costs one
-    /// `is_some()` branch per frame; armed cost is ≤2% via the
-    /// `profile_overhead` interleaved A/B in `BENCH_runtime.json`.
-    profile: Option<Box<ProfileState>>,
 }
 
 impl std::fmt::Debug for Runtime {
@@ -454,6 +444,10 @@ impl Runtime {
         let refs: Vec<&dyn ProcessingElement> = pes.iter().map(|b| b.as_ref()).collect();
         fabric.validate(&refs)?;
         let cycles_per_token = pes.iter().map(|p| p.kind().cycles_per_token()).collect();
+        let ns_per_cycle = pes
+            .iter()
+            .map(|p| 1.0e9 / DomainPowerModel::new(p.kind()).anchor_hz())
+            .collect();
         let totals = vec![SlotTotals::default(); pes.len()];
         let mut runtime = Self {
             window_base: totals.clone(),
@@ -479,18 +473,15 @@ impl Runtime {
             window_frames: 0,
             window_start: 0,
             sample_rate_hz: 30_000,
-            ns_per_cycle: Vec::new(),
+            ns_per_cycle,
             frame_base: Vec::new(),
             latency_pending: Vec::new(),
             tracer: None,
-            ns_per_link_byte: 0.0,
-            ns_per_radio_byte: 0.0,
             block_dispatch: true,
             trace_buf: Vec::new(),
             open_tags: Vec::new(),
             trace_stall_scratch: Vec::new(),
             faults: None,
-            profile: None,
         };
         runtime.rebuild_route_table();
         Ok(runtime)
@@ -557,11 +548,6 @@ impl Runtime {
         self.noc_base = (self.fabric.bus_bytes(), self.fabric.transfers());
         self.radio_base = self.radio.framed.len() as u64;
         self.window_start = self.frame_idx;
-        self.ns_per_cycle = self
-            .pes
-            .iter()
-            .map(|p| 1.0e9 / DomainPowerModel::new(p.kind()).anchor_hz())
-            .collect();
         self.sink = sink;
     }
 
@@ -572,15 +558,6 @@ impl Runtime {
     /// crossing is recorded as a span. Unsampled frames pay one relaxed
     /// atomic load per frame and one tag read per burst.
     pub fn attach_tracing(&mut self, tracer: Arc<Tracer>) {
-        if self.ns_per_cycle.is_empty() {
-            self.ns_per_cycle = self
-                .pes
-                .iter()
-                .map(|p| 1.0e9 / DomainPowerModel::new(p.kind()).anchor_hz())
-                .collect();
-        }
-        self.ns_per_link_byte = 1.0e9 / Fabric::LINK_CAPACITY_BYTES_PER_S as f64;
-        self.ns_per_radio_byte = 8.0e9 / RADIO_CEILING_BPS;
         tracer.open_tags_into(&mut self.open_tags);
         self.tracer = Some(tracer);
     }
@@ -628,49 +605,29 @@ impl Runtime {
         self.faults.is_some()
     }
 
-    /// Arms the cycle profiler: subsequent frames accrue hierarchical
-    /// phase attribution (ingest / compute / drain / quiet-skip) under
-    /// `pipeline`. Attaching resets any previous attribution; the
-    /// disabled hook costs one branch per frame.
-    pub fn attach_profile(&mut self, pipeline: &'static str, sample_rate_hz: u32) {
-        self.profile = Some(Box::new(ProfileState {
-            pipeline,
-            sample_rate_hz,
-            ingest: vec![0; self.pes.len()],
-            quiet: vec![0; self.pes.len()],
-            drain: vec![0; self.pes.len()],
-        }));
-    }
-
-    /// Detaches the profiler (the hook returns to its zero-cost disabled
-    /// state); accumulated attribution is discarded.
-    pub fn detach_profile(&mut self) {
-        self.profile = None;
-    }
-
-    /// Whether the cycle profiler is armed.
-    pub fn profile_attached(&self) -> bool {
-        self.profile.is_some()
-    }
-
-    /// Snapshots the armed profiler into a [`CycleProfile`] rooted at
-    /// `device`. Deterministic: derived entirely from the always-on
-    /// [`SlotTotals`] and the profiler's phase accumulators, never a wall
-    /// clock. Returns `None` when no profiler is attached. Callable
-    /// mid-stream (drain cycles appear once [`Runtime::finish`] ran);
-    /// per-slot energy comes from the slot's [`DomainPowerModel`] window
-    /// draw over the profiled stream, apportioned across phases by cycle
-    /// share.
-    pub fn profile_snapshot(&self, device: &str) -> Option<CycleProfile> {
-        let state = self.profile.as_ref()?;
+    /// Snapshots the cycle profile rooted at `device`, attributing every
+    /// slot's cycles under `pipeline`. Deterministic: derived entirely
+    /// from the always-on [`SlotTotals`] phase counters, never a wall
+    /// clock. Compute cycles are the remainder `busy − ingest − quiet −
+    /// drain`, so the four phases tile each slot's busy cycles exactly.
+    /// Callable mid-stream (drain cycles appear once [`Runtime::finish`]
+    /// ran); per-slot energy comes from the slot's [`DomainPowerModel`]
+    /// window draw over the stream at `sample_rate_hz`, apportioned
+    /// across phases by cycle share.
+    pub fn profile_snapshot(
+        &self,
+        device: &str,
+        pipeline: &str,
+        sample_rate_hz: u32,
+    ) -> CycleProfile {
         let mut out = CycleProfile::new(device);
         out.frames = self.frame_idx;
-        let stream_s = self.frame_idx as f64 / state.sample_rate_hz as f64;
-        for slot in 0..self.pes.len() {
-            let busy = self.totals[slot].busy_cycles;
-            let ingest = state.ingest[slot].min(busy);
-            let quiet = state.quiet[slot].min(busy - ingest);
-            let drain = state.drain[slot].min(busy - ingest - quiet);
+        let stream_s = self.frame_idx as f64 / sample_rate_hz as f64;
+        for (slot, t) in self.totals.iter().enumerate() {
+            let busy = t.busy_cycles;
+            let ingest = t.ingest_cycles.min(busy);
+            let quiet = t.quiet_cycles.min(busy - ingest);
+            let drain = t.drain_cycles.min(busy - ingest - quiet);
             let compute = busy - ingest - quiet - drain;
             if busy == 0 {
                 continue;
@@ -695,7 +652,7 @@ impl Runtime {
                     continue;
                 }
                 out.add(ProfileRow {
-                    pipeline: state.pipeline.to_string(),
+                    pipeline: pipeline.to_string(),
                     slot: slot as u8,
                     pe: name.to_string(),
                     phase,
@@ -704,7 +661,7 @@ impl Runtime {
                 });
             }
         }
-        Some(out)
+        out
     }
 
     /// The per-slot activity totals accumulated so far.
@@ -863,14 +820,13 @@ impl Runtime {
             // records Token::Value) can never fire on this path.
             self.pes[slot].push_samples(src.port, samples)?;
         }
-        if let Some(p) = &mut self.profile {
-            // Quiet-skip attribution, batched: one add per source for the
-            // whole chunk (the batchable precondition already proved every
-            // source slot is on the installed array).
-            for src in &self.sources {
-                let slot = src.to.0;
-                p.quiet[slot] += self.cycles_per_token[slot] * (chunk * frame_len) as u64;
-            }
+        // Quiet-skip attribution, batched: one add per source for the
+        // whole chunk (the batchable precondition already proved every
+        // source slot is on the installed array).
+        for src in &self.sources {
+            let slot = src.to.0;
+            self.totals[slot].quiet_cycles +=
+                self.cycles_per_token[slot] * (chunk * frame_len) as u64;
         }
         self.frame_idx += chunk as u64;
         if sink_on {
@@ -947,19 +903,17 @@ impl Runtime {
         if tag != 0 {
             self.trace_sources(tag, frame.len(), &stall_base);
         }
-        if let Some(p) = &mut self.profile {
-            // Source-ingest attribution: exactly the cycles the loop
-            // above charged via `push_to` (one token per sample for
-            // Direct, two per sample byte-adapted).
-            for src in &self.sources {
-                let slot = src.to.0;
-                if slot < p.ingest.len() {
-                    let tokens = match src.adapter {
-                        Adapter::Direct => frame.len() as u64,
-                        Adapter::SamplesToBytes => 2 * frame.len() as u64,
-                    };
-                    p.ingest[slot] += tokens * self.cycles_per_token[slot];
-                }
+        // Source-ingest attribution: exactly the cycles the loop above
+        // charged via `push_to` (one token per sample for Direct, two per
+        // sample byte-adapted).
+        for src in &self.sources {
+            let slot = src.to.0;
+            if let Some(t) = self.totals.get_mut(slot) {
+                let tokens = match src.adapter {
+                    Adapter::Direct => frame.len() as u64,
+                    Adapter::SamplesToBytes => 2 * frame.len() as u64,
+                };
+                t.ingest_cycles += tokens * self.cycles_per_token[slot];
             }
         }
         self.frame_idx += 1;
@@ -1096,19 +1050,13 @@ impl Runtime {
         }
         // Drain attribution baseline: everything the flush loop adds to
         // the busy counters below belongs to the drain phase.
-        let drain_base: Vec<u64> = if self.profile.is_some() {
-            self.totals.iter().map(|t| t.busy_cycles).collect()
-        } else {
-            Vec::new()
-        };
+        let drain_base: Vec<u64> = self.totals.iter().map(|t| t.busy_cycles).collect();
         for i in 0..self.pes.len() {
             self.pes[i].flush();
             self.propagate()?;
         }
-        if let Some(p) = &mut self.profile {
-            for (slot, base) in drain_base.iter().enumerate() {
-                p.drain[slot] += self.totals[slot].busy_cycles - base;
-            }
+        for (t, base) in self.totals.iter_mut().zip(drain_base) {
+            t.drain_cycles += t.busy_cycles - base;
         }
         self.flush_trace_buf();
         self.radio.finish();
@@ -1422,9 +1370,9 @@ impl Runtime {
                 // as the consumer's output occupancy evolves during the
                 // burst. A sticky trace tag does NOT force the slow path:
                 // the one delivery span a tagged single-consumer burst
-                // produces is priced from exactly the aggregates computed
-                // here (token count, wire bytes, stall delta), so
-                // `trace_fast_burst` emits it bit-identically.
+                // produces is priced by `trace_burst` from exactly the
+                // aggregates computed here (token count, wire bytes, the
+                // consumer's pre-burst stall count).
                 if fan_out == 1 && !is_radio && !is_mcu {
                     let route = self.route_table[i][0];
                     let to = route.to.0;
@@ -1471,7 +1419,8 @@ impl Runtime {
                             self.sink.add(link, Counter::TokensOut, n);
                         }
                         if tag != 0 && res.is_ok() {
-                            self.trace_fast_burst(tag, i, route, n, total_bytes, stalls);
+                            let stall_base = self.totals[to].stall_cycles - stalls;
+                            self.trace_burst(tag, i, n, total_bytes, &[stall_base], false);
                         }
                         res?;
                         continue;
@@ -1532,55 +1481,6 @@ impl Runtime {
         }
     }
 
-    /// Fast-path twin of [`Runtime::trace_burst`] for the single-consumer,
-    /// non-radio/MCU/probe burst shape: one delivery span priced from the
-    /// burst aggregates the fast path already computed (`stall_delta` is
-    /// the burst's observed back-pressure, identical to the generic
-    /// path's pre/post stall snapshot), with the same sticky-tag
-    /// keep/clear rules.
-    fn trace_fast_burst(
-        &mut self,
-        tag: u64,
-        from: usize,
-        route: Route,
-        n: u64,
-        total_bytes: u64,
-        stall_delta: u64,
-    ) {
-        if self.tracer.is_none() {
-            return;
-        }
-        let to = route.to.0;
-        if self.open_tags.contains(&tag) {
-            let costs = DeliveryCosts {
-                noc_ns: (total_bytes as f64 * self.ns_per_link_byte) as u64,
-                wait_ns: (stall_delta as f64 * self.ns_per_cycle[to]) as u64,
-                cross_ns: if self.ns_per_cycle[from] != self.ns_per_cycle[to] {
-                    self.ns_per_cycle[to] as u64
-                } else {
-                    0
-                },
-                service_ns: ((n * self.cycles_per_token[to]) as f64 * self.ns_per_cycle[to]) as u64,
-            };
-            self.trace_buf.push(TraceEvent::Delivery {
-                tag,
-                from: Some((from as u8, self.pes[from].kind().name())),
-                to: to as u8,
-                to_name: self.pes[to].kind().name(),
-                tokens: n as u32,
-                bytes: total_bytes,
-                costs,
-            });
-            if let Some(fifo) = self.pes[to].output_fifo_mut() {
-                fifo.set_trace_tag(tag);
-            }
-        } else if let Some(fifo) = self.pes[from].output_fifo_mut() {
-            // The delivery was refused (trace closed or expired): stop the
-            // stale context from propagating, as the generic path would.
-            fifo.clear_trace_tag();
-        }
-    }
-
     /// Buffers the spans for one traced delivery burst out of slot `from`:
     /// a PeService span per consumer (with NocHop / FifoWait / DomainCross
     /// children priced from the burst's size and observed back-pressure),
@@ -1618,7 +1518,7 @@ impl Runtime {
             }
             let stall_delta = self.totals[to].stall_cycles - base;
             let costs = DeliveryCosts {
-                noc_ns: (total_bytes as f64 * self.ns_per_link_byte) as u64,
+                noc_ns: (total_bytes as f64 * NS_PER_LINK_BYTE) as u64,
                 wait_ns: (stall_delta as f64 * self.ns_per_cycle[to]) as u64,
                 // Clock-domain crossing: one consumer-domain cycle of
                 // synchronizer latency when producer and consumer run at
@@ -1647,7 +1547,7 @@ impl Runtime {
             }
         }
         if is_radio && accepted {
-            let ns = (total_bytes as f64 * self.ns_per_radio_byte) as u64;
+            let ns = (total_bytes as f64 * NS_PER_RADIO_BYTE) as u64;
             self.trace_buf.push(TraceEvent::Radio {
                 tag,
                 node: from as u8,

@@ -147,9 +147,6 @@ pub struct HaloSystem {
     health: Option<Arc<HealthMonitor>>,
     continuous: Option<Arc<ContinuousTelemetry>>,
     tracer: Option<Arc<Tracer>>,
-    /// Whether [`HaloSystem::attach_profile`] armed the cycle profiler
-    /// (re-armed across [`HaloSystem::reconfigure`]).
-    profiled: bool,
     /// Profiles snapshotted from retired runtimes at reconfiguration,
     /// merged into [`HaloSystem::profile`] reads.
     profile_history: Vec<CycleProfile>,
@@ -201,7 +198,6 @@ impl HaloSystem {
             health: None,
             continuous: None,
             tracer: None,
-            profiled: false,
             profile_history: Vec::new(),
         })
     }
@@ -301,38 +297,25 @@ impl HaloSystem {
         self.tracer.as_ref()
     }
 
-    /// Arms the always-on-capable cycle profiler: every frame streamed
-    /// from here on accrues hierarchical cycle/energy attribution
-    /// (pipeline → PE → kernel phase) under the current task's label.
-    /// Survives [`HaloSystem::reconfigure`] — each retired runtime's
-    /// profile is snapshotted and merged into [`HaloSystem::profile`]
-    /// reads, so a multi-task session profiles every pipeline it ran.
-    pub fn attach_profile(&mut self) {
-        self.runtime
-            .attach_profile(self.task.label(), self.config.sample_rate_hz);
-        self.profiled = true;
-    }
-
-    /// Whether the cycle profiler is armed.
-    pub fn profile_attached(&self) -> bool {
-        self.profiled
-    }
-
-    /// The accumulated [`CycleProfile`] rooted at `device`, merging every
-    /// reconfiguration epoch with the live runtime's attribution. `None`
-    /// unless [`HaloSystem::attach_profile`] armed the profiler.
-    pub fn profile(&self, device: &str) -> Option<CycleProfile> {
-        if !self.profiled {
-            return None;
-        }
+    /// The accumulated [`CycleProfile`] rooted at `device`: hierarchical
+    /// cycle/energy attribution (pipeline → PE → kernel phase) of every
+    /// frame streamed so far. Each runtime retired by
+    /// [`HaloSystem::reconfigure`] is banked under its task's label and
+    /// merged here with the live runtime's attribution, so a multi-task
+    /// session profiles every pipeline it ran.
+    pub fn profile(&self, device: &str) -> CycleProfile {
         let mut out = CycleProfile::new(device);
         for epoch in &self.profile_history {
             out.merge(epoch);
         }
-        if let Some(current) = self.runtime.profile_snapshot(device) {
-            out.merge(&current);
-        }
-        Some(out)
+        out.merge(&self.runtime_profile(device));
+        out
+    }
+
+    /// The live runtime's cycle profile under the current task's label.
+    fn runtime_profile(&self, device: &str) -> CycleProfile {
+        self.runtime
+            .profile_snapshot(device, self.task.label(), self.config.sample_rate_hz)
     }
 
     /// Enables or disables the runtime's batched quiet-frame dispatch
@@ -361,11 +344,7 @@ impl HaloSystem {
         // Bank the retiring runtime's attribution before it is dropped;
         // the device root is applied at read time, so the placeholder
         // here never surfaces.
-        if self.profiled {
-            if let Some(epoch) = self.runtime.profile_snapshot("") {
-                self.profile_history.push(epoch);
-            }
-        }
+        self.profile_history.push(self.runtime_profile(""));
         let pipeline = Pipeline::build(task, &self.config)?;
         let mut fabric = Fabric::new();
         self.controller
@@ -388,10 +367,6 @@ impl HaloSystem {
         }
         if let Some(tracer) = self.tracer.clone() {
             self.runtime.attach_tracing(tracer);
-        }
-        if self.profiled {
-            self.runtime
-                .attach_profile(self.task.label(), self.config.sample_rate_hz);
         }
         Ok(())
     }

@@ -434,8 +434,7 @@ pub fn render_exposition(reports: &[SessionReport]) -> String {
 }
 
 /// Merges every session's cycle profile into one fleet-rooted
-/// [`CycleProfile`] (device `"fleet"`). Sessions without a profile (none,
-/// in a stock fleet) contribute nothing; merge order is session-id order,
+/// [`CycleProfile`] (device `"fleet"`). Merge order is session-id order,
 /// and since merging is commutative cell-wise the result is byte-stable
 /// across worker counts.
 pub fn fleet_profile(reports: &[SessionReport]) -> CycleProfile {
@@ -443,9 +442,7 @@ pub fn fleet_profile(reports: &[SessionReport]) -> CycleProfile {
     ordered.sort_by_key(|r| r.spec.id);
     let mut fleet = CycleProfile::new("fleet");
     for report in ordered {
-        if let Some(profile) = &report.profile {
-            fleet.merge(profile);
-        }
+        fleet.merge(&report.profile);
     }
     fleet
 }

@@ -223,10 +223,6 @@ impl FleetSession {
             }
         };
         system.attach_tracing(tracer.clone());
-        // Always-on profiling: attribution rides the deterministic cost
-        // model, so the fleet rollup can merge per-session profiles into
-        // one flamegraph regardless of worker count.
-        system.attach_profile();
 
         let elector = Elector::new(fleet.seed, spec.id, &fleet.exemplar);
         Ok(FleetSession {
@@ -337,7 +333,10 @@ pub struct SessionReport {
     /// Modeled processing power (PEs + NoC + control), milliwatts.
     pub processing_mw: f64,
     /// The session's cycle/energy profile, rooted at the session id.
-    pub profile: Option<CycleProfile>,
+    /// Attribution rides the deterministic cost model, so the fleet
+    /// rollup merges per-session profiles into one flamegraph regardless
+    /// of worker count.
+    pub profile: CycleProfile,
 }
 
 impl SessionReport {

@@ -87,11 +87,8 @@ fn pipeline_shares(profile: &CycleProfile, pipeline: &str) -> Vec<(String, f64)>
 /// session burning its cycles somewhere unusual — a drain phase the rest
 /// of the fleet barely touches, say — scores up to 1.
 pub fn profile_divergence(report: &SessionReport, fleet: &CycleProfile) -> f64 {
-    let Some(profile) = &report.profile else {
-        return 0.0;
-    };
     let pipeline = report.spec.task.label();
-    let session = pipeline_shares(profile, pipeline);
+    let session = pipeline_shares(&report.profile, pipeline);
     let norm = pipeline_shares(fleet, pipeline);
     let mut max = 0.0f64;
     for (frame, share) in &session {
@@ -124,7 +121,7 @@ pub fn worst_sessions(reports: &[SessionReport], k: usize) -> Vec<TriageRow<'_>>
                 report,
                 score: score(report) + divergence * 1e4,
                 divergence,
-                dominant: report.profile.as_ref().and_then(|p| p.dominant_frame()),
+                dominant: report.profile.dominant_frame(),
             }
         })
         .collect();
@@ -315,8 +312,7 @@ pub fn render_triage(reports: &[SessionReport], k: usize) -> String {
         let profile_dominant = reports
             .iter()
             .find(|r| r.spec.id == t.session)
-            .and_then(|r| r.profile.as_ref())
-            .and_then(|p| p.dominant_frame())
+            .and_then(|r| r.profile.dominant_frame())
             .map_or("null".to_string(), |(frame, share)| {
                 format!(
                     "{{\"frame\": {}, \"share\": {}}}",

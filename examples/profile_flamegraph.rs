@@ -2,11 +2,10 @@
 //! as a collapsed-stack flamegraph.
 //!
 //! The narrative: a clinician asks "where do this implant's cycles and
-//! microjoules actually go?" The profiler rides the deterministic cost
-//! model — no wall clocks, no sampling — so the answer is exact,
-//! byte-stable across machines, and cheap enough to leave armed in
-//! production (the `profile_overhead` bench section holds it under 2%).
-//! One replay yields a hierarchical attribution over
+//! microjoules actually go?" The profile is a view of the deterministic
+//! cost model — no wall clocks, no sampling — whose phase counters every
+//! run keeps anyway, so the answer is exact, byte-stable across machines,
+//! and there is nothing to arm. One replay yields a hierarchical attribution over
 //! *device → pipeline → PE@slot → kernel phase* (ingest / compute /
 //! drain / quiet-skip), folded into the collapsed-stack format that
 //! inferno, speedscope, and `flamegraph.pl` consume directly, plus the
@@ -41,11 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .generate(17);
     let config = HaloConfig::small_test(CHANNELS).channels(CHANNELS);
     let mut system = HaloSystem::new(Task::SeizurePrediction, config)?;
-    system.attach_profile();
     let metrics = system.process(&recording)?;
-    let profile = system
-        .profile("implant-07")
-        .expect("profiler was attached before the stream");
+    let profile = system.profile("implant-07");
     println!(
         "profiled {} frames: {} modeled cycles, {:.1} uJ across {} attribution frames\n",
         profile.frames,

@@ -281,10 +281,7 @@ fn session_profiles_are_byte_identical_across_thread_counts() {
             .threads(threads);
         let mut out: Vec<(u64, String, String)> = run_fleet(8, &config)
             .iter()
-            .map(|r| {
-                let profile = r.profile.as_ref().expect("fleet sessions are profiled");
-                (r.spec.id, profile.folded(), profile.to_json())
-            })
+            .map(|r| (r.spec.id, r.profile.folded(), r.profile.to_json()))
             .collect();
         out.sort_by_key(|(id, _, _)| *id);
         out
@@ -310,17 +307,9 @@ fn fleet_profile_merges_sessions_and_lands_in_the_exposition() {
     let reports = run_fleet(6, &config);
     let fleet = registry::fleet_profile(&reports);
     assert_eq!(fleet.device, "fleet");
-    let session_total: u64 = reports
-        .iter()
-        .filter_map(|r| r.profile.as_ref())
-        .map(|p| p.total_cycles())
-        .sum();
+    let session_total: u64 = reports.iter().map(|r| r.profile.total_cycles()).sum();
     assert_eq!(fleet.total_cycles(), session_total);
-    let session_frames: u64 = reports
-        .iter()
-        .filter_map(|r| r.profile.as_ref())
-        .map(|p| p.frames)
-        .sum();
+    let session_frames: u64 = reports.iter().map(|r| r.profile.frames).sum();
     assert_eq!(fleet.frames, session_frames);
 
     let text = registry::render_exposition(&reports);

@@ -1,6 +1,6 @@
-//! Cycle-profiler integration: accounting neutrality, exact phase
-//! tiling, batched-dispatch equivalence, and reconfiguration epochs over
-//! real end-to-end streams.
+//! Cycle-profile integration: exact phase tiling, batched-dispatch
+//! equivalence, reconfiguration epochs and pinned contents over real
+//! end-to-end streams.
 
 use halo::core::{HaloConfig, HaloSystem, Task};
 use halo::signal::{Recording, RecordingConfig, RegionProfile};
@@ -17,34 +17,9 @@ fn recording(ms: usize, seed: u64) -> Recording {
 
 fn profiled_run(task: Task, rec: &Recording) -> (HaloSystem, CycleProfile) {
     let mut sys = HaloSystem::new(task, HaloConfig::small_test(CHANNELS)).unwrap();
-    sys.attach_profile();
     sys.process(rec).unwrap();
-    let profile = sys.profile("dev").expect("profiler attached");
+    let profile = sys.profile("dev");
     (sys, profile)
-}
-
-#[test]
-fn armed_profiler_is_accounting_neutral() {
-    // The profiler observes the deterministic counters; arming it must
-    // not perturb a single one of them, on any pipeline.
-    let rec = recording(60, 11);
-    for task in Task::all() {
-        let mut bare = HaloSystem::new(task, HaloConfig::small_test(CHANNELS)).unwrap();
-        let bare_metrics = bare.process(&rec).unwrap();
-        let (armed, _) = profiled_run(task, &rec);
-        assert_eq!(
-            bare.runtime().slot_totals(),
-            armed.runtime().slot_totals(),
-            "{}: slot totals diverged under profiling",
-            task.label()
-        );
-        let mut armed2 = HaloSystem::new(task, HaloConfig::small_test(CHANNELS)).unwrap();
-        armed2.attach_profile();
-        let armed_metrics = armed2.process(&rec).unwrap();
-        assert_eq!(bare_metrics.frames, armed_metrics.frames);
-        assert_eq!(bare_metrics.input_bytes, armed_metrics.input_bytes);
-        assert_eq!(bare_metrics.radio_stream, armed_metrics.radio_stream);
-    }
 }
 
 #[test]
@@ -83,9 +58,8 @@ fn batched_dispatch_shifts_phases_but_preserves_totals() {
         let run = |block_dispatch: bool| {
             let mut sys = HaloSystem::new(task, HaloConfig::small_test(CHANNELS)).unwrap();
             sys.set_block_dispatch(block_dispatch);
-            sys.attach_profile();
             sys.process(&rec).unwrap();
-            sys.profile("dev").expect("profiler attached")
+            sys.profile("dev")
         };
         let batched = run(true);
         let scalar = run(false);
@@ -150,12 +124,11 @@ fn reconfigure_banks_attribution_across_pipeline_epochs() {
     // cycles: the profile accumulates one subtree per pipeline epoch.
     let rec = recording(50, 15);
     let mut sys = HaloSystem::new(Task::CompressLz4, HaloConfig::small_test(CHANNELS)).unwrap();
-    sys.attach_profile();
     sys.process(&rec).unwrap();
-    let first_epoch = sys.profile("dev").unwrap();
+    let first_epoch = sys.profile("dev");
     sys.reconfigure(Task::SpikeDetectNeo).unwrap();
     sys.process(&rec).unwrap();
-    let both = sys.profile("dev").unwrap();
+    let both = sys.profile("dev");
 
     let pipelines: Vec<&str> = {
         let mut p: Vec<&str> = both.rows.iter().map(|r| r.pipeline.as_str()).collect();
@@ -178,4 +151,26 @@ fn reconfigure_banks_attribution_across_pipeline_epochs() {
         "reconfigure lost the retiring epoch's attribution"
     );
     assert!(both.folded().starts_with("dev;"));
+}
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn profile_contents_are_pinned() {
+    // The exact folded stacks and JSON of every stock pipeline, pinned
+    // as one digest: any change to the phase accounting, the energy
+    // apportionment or the export format moves it.
+    let rec = recording(60, 24);
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    for task in Task::all() {
+        let (_, profile) = profiled_run(task, &rec);
+        digest = fnv1a(digest, profile.folded().as_bytes());
+        digest = fnv1a(digest, profile.to_json().as_bytes());
+    }
+    assert_eq!(digest, 0xc15e_1750_09ed_12e5, "got {digest:#018x}");
 }

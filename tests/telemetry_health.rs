@@ -11,8 +11,9 @@ use halo::core::tasks::seizure;
 use halo::core::{HaloConfig, HaloSystem, SystemError, Task};
 use halo::signal::{Recording, RecordingConfig, RegionProfile, SimRng};
 use halo::telemetry::{
-    expose, json, summary, AlertKind, AlertPolicy, Counter, Event, EventKind, HealthConfig,
-    HealthMonitor, LogHistogram, Recorder, Scope, Severity, TelemetrySink,
+    expose, json, summary, AlertKind, AlertPolicy, ContinuousConfig, ContinuousTelemetry, Counter,
+    Event, EventKind, HealthConfig, HealthMonitor, LogHistogram, Recorder, Scope, Severity,
+    TelemetrySink, Tracer,
 };
 
 /// The seizure closed-loop scenario: an SVM trained on labeled recordings
@@ -313,4 +314,45 @@ fn monitor_forwards_everything_to_its_recorder() {
         assert_eq!(a, b);
     }
     assert_eq!(s1.pipelines[0].latency, s2.pipelines[0].latency);
+}
+
+/// Dropping a device frees its observers. The monitor holds the tracer
+/// (for escalation) and the tracer streams spans into the monitor, or
+/// into the continuous layer wrapping it; the tracer's end of that link
+/// is weak, so neither side keeps the other alive once the device and
+/// the caller's handles are gone.
+#[test]
+fn dropped_device_frees_its_monitor_and_tracer() {
+    let session = RecordingConfig::new(RegionProfile::arm())
+        .channels(4)
+        .duration_ms(20)
+        .generate(3);
+    for continuous in [false, true] {
+        let monitor = monitor_with(1.0e6, AlertPolicy::Record);
+        let tracer = Arc::new(Tracer::new(7, 8));
+        let mut system = HaloSystem::new(Task::CompressLz4, HaloConfig::small_test(4)).unwrap();
+        if continuous {
+            system.attach_continuous(Arc::new(ContinuousTelemetry::new(
+                monitor.clone(),
+                ContinuousConfig::default(),
+            )));
+        } else {
+            system.attach_health(monitor.clone());
+        }
+        system.attach_tracing(tracer.clone());
+        system.process(&session).unwrap();
+        assert!(tracer.stats().completed > 0, "no spans streamed");
+
+        let weak_monitor = Arc::downgrade(&monitor);
+        let weak_tracer = Arc::downgrade(&tracer);
+        drop((system, monitor, tracer));
+        assert!(
+            weak_monitor.upgrade().is_none(),
+            "monitor outlived its device (continuous: {continuous})"
+        );
+        assert!(
+            weak_tracer.upgrade().is_none(),
+            "tracer outlived its device (continuous: {continuous})"
+        );
+    }
 }

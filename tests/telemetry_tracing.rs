@@ -123,6 +123,36 @@ fn stock_pipelines_yield_well_formed_trees() {
     }
 }
 
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The exact span trees of every stock pipeline under 1-in-8 sampling,
+/// pinned as one digest over their JSON: any change to span pricing,
+/// tag propagation or acceptance moves it.
+#[test]
+fn span_tree_contents_are_pinned() {
+    let rec = RecordingConfig::new(RegionProfile::arm())
+        .channels(8)
+        .duration_ms(40)
+        .generate(23);
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    for task in Task::all() {
+        let mut system = HaloSystem::new(task, HaloConfig::small_test(8)).unwrap();
+        let tracer = Arc::new(Tracer::new(0x5EED, 8).with_done_capacity(1 << 16));
+        system.attach_tracing(tracer.clone());
+        system.process(&rec).unwrap();
+        for record in tracer.trees() {
+            let tree = SpanTree::assemble(&record).unwrap();
+            digest = fnv1a(digest, tree.to_json().as_bytes());
+        }
+    }
+    assert_eq!(digest, 0x10fc_06b7_07d1_ff81, "got {digest:#018x}");
+}
+
 /// Tracing is observation: a run with a 1-in-64 tracer attached produces
 /// byte-identical outputs to an untraced run.
 #[test]
