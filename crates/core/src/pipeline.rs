@@ -1,7 +1,7 @@
 //! Per-task PE graphs (Figure 2).
 
 use crate::config::HaloConfig;
-use crate::runtime::{Adapter, SourceRoute};
+use crate::runtime::SourceRoute;
 use crate::task::Task;
 use halo_kernels::{BbfDesign, Dwt, Fft, LzMatcher, Threshold, XcorConfig};
 use halo_noc::{NodeId, Route};
@@ -120,12 +120,10 @@ impl Pipeline {
                 SourceRoute {
                     to: NodeId(0),
                     port: 0,
-                    adapter: Adapter::Direct,
                 },
                 SourceRoute {
                     to: NodeId(2),
                     port: 0,
-                    adapter: Adapter::Direct,
                 },
             ],
             radio_from: Some(NodeId(2)),
@@ -174,7 +172,6 @@ impl Pipeline {
             sources: vec![SourceRoute {
                 to: NodeId(0),
                 port: 0,
-                adapter: Adapter::Direct,
             }],
             radio_from: Some(NodeId(3)),
             mcu_from: Some(NodeId(2)),
@@ -207,7 +204,6 @@ impl Pipeline {
             sources: vec![SourceRoute {
                 to: NodeId(0),
                 port: 0,
-                adapter: Adapter::Direct,
             }],
             radio_from: Some(NodeId(2)),
             mcu_from: None,
@@ -248,7 +244,6 @@ impl Pipeline {
             sources: vec![SourceRoute {
                 to: NodeId(0),
                 port: 0,
-                adapter: Adapter::Direct,
             }],
             radio_from: Some(NodeId(3)),
             mcu_from: None,
@@ -289,7 +284,6 @@ impl Pipeline {
             sources: vec![SourceRoute {
                 to: NodeId(0),
                 port: 0,
-                adapter: Adapter::Direct,
             }],
             radio_from: Some(NodeId(3)),
             mcu_from: None,
@@ -321,7 +315,6 @@ impl Pipeline {
             sources: vec![SourceRoute {
                 to: NodeId(0),
                 port: 0,
-                adapter: Adapter::Direct,
             }],
             radio_from: Some(NodeId(1)),
             mcu_from: Some(NodeId(1)),
@@ -373,17 +366,14 @@ impl Pipeline {
             SourceRoute {
                 to: NodeId(0),
                 port: 0,
-                adapter: Adapter::Direct,
             },
             SourceRoute {
                 to: NodeId(1),
                 port: 0,
-                adapter: Adapter::Direct,
             },
             SourceRoute {
                 to: NodeId(2),
                 port: 0,
-                adapter: Adapter::Direct,
             },
         ];
         if config.use_hjorth {
@@ -397,7 +387,6 @@ impl Pipeline {
             sources.push(SourceRoute {
                 to: NodeId(3),
                 port: 0,
-                adapter: Adapter::Direct,
             });
         }
         let svm_node = NodeId(pes.len());
@@ -446,7 +435,6 @@ impl Pipeline {
             sources: vec![SourceRoute {
                 to: NodeId(0),
                 port: 0,
-                adapter: Adapter::Direct,
             }],
             radio_from: Some(NodeId(0)),
             mcu_from: None,

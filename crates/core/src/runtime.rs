@@ -13,29 +13,15 @@ use halo_telemetry::{
     TelemetrySink, TraceEvent, Tracer,
 };
 
-/// Input-adapter applied where the ADC stream enters a PE.
-///
-/// §IV-D: "an interconnect wrapper provides a FIFO interface for the input
-/// and output of each PE; the adapter also modifies the output … to match
-/// the fixed width interface of the interconnect." Byte-oriented PEs (LZ,
-/// AES) receive the 16-bit samples serialized little-endian.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Adapter {
-    /// Deliver samples unchanged.
-    Direct,
-    /// Serialize each sample into two little-endian bytes.
-    SamplesToBytes,
-}
-
-/// A route from the ADC stream into the PE array.
+/// A route from the ADC stream into the PE array. Samples arrive as
+/// [`Token::Sample`]; byte-oriented PEs (LZ, AES) serialise them inside
+/// their own input adapter.
 #[derive(Debug, Clone, Copy)]
 pub struct SourceRoute {
     /// Destination PE slot.
     pub to: NodeId,
     /// Destination input port.
     pub port: usize,
-    /// Input adapter.
-    pub adapter: Adapter,
 }
 
 /// Errors raised while streaming.
@@ -250,6 +236,24 @@ const NS_PER_LINK_BYTE: f64 = 1.0e9 / Fabric::LINK_CAPACITY_BYTES_PER_S as f64;
 /// Modeled radio serialization cost per byte at the 46 Mbps paper ceiling.
 const NS_PER_RADIO_BYTE: f64 = 8.0e9 / RADIO_CEILING_BPS;
 
+/// Whether two of `items` lead into the same node — inputs that must then
+/// interleave token by token rather than arrive one batch per item.
+fn shares_a_node<T>(items: &[T], node: impl Fn(&T) -> NodeId) -> bool {
+    items
+        .iter()
+        .enumerate()
+        .any(|(k, a)| items[..k].iter().any(|b| node(b) == node(a)))
+}
+
+/// Keeps, of the errors raised while delivering one input route by route,
+/// the one a per-token loop would have hit first: the lowest token index,
+/// and on a tie the earlier route (callers offer routes in order).
+fn keep_earliest(first: &mut Option<(u64, RuntimeError)>, err: (u64, RuntimeError)) {
+    if first.as_ref().is_none_or(|(at, _)| err.0 < *at) {
+        *first = Some(err);
+    }
+}
+
 /// Collects the byte stream headed for the radio, applying the same block
 /// framing the monolithic codecs use so compression outputs can be
 /// verified by decompression.
@@ -364,11 +368,19 @@ pub struct Runtime {
     /// scans or allocates per token. Rebuilt — and the fabric re-validated
     /// — whenever `fabric.generation()` moves off `route_gen`.
     route_table: Vec<Vec<Route>>,
+    /// Per node: whether two of its routes lead into one consumer, whose
+    /// inputs must then interleave token by token.
+    route_shared: Vec<bool>,
     route_gen: u64,
-    /// Reusable scratch buffer for [`Runtime::propagate`]'s bulk FIFO
-    /// drain; its capacity ping-pongs with the PE FIFOs, so steady state
-    /// allocates nothing.
+    /// Whether two sources feed one PE, whose inputs must then interleave
+    /// sample by sample.
+    source_shared: bool,
+    /// Scratch slot for [`Runtime::propagate`]'s bulk FIFO drain: a PE's
+    /// buffer is swapped in, delivered, and swapped back empty
+    /// ([`halo_pe::Fifo::reclaim`]), so steady state allocates nothing.
     burst: VecDeque<Token>,
+    /// Reusable copy of a burst for every route of a fan-out but the last.
+    fanout: VecDeque<Token>,
     totals: Vec<SlotTotals>,
     sink: Arc<dyn TelemetrySink>,
     /// Totals at the start of the current telemetry window.
@@ -392,8 +404,9 @@ pub struct Runtime {
     /// a locking sink synchronizes once per window, not once per frame.
     latency_pending: Vec<u64>,
     /// Causal-trace collector, when [`Runtime::attach_tracing`] wired one.
-    /// Untraced frames cost one sampler check; traced frames take the
-    /// generic propagation path and record per-delivery spans.
+    /// Untraced frames cost one sampler check; traced frames take the same
+    /// delivery path and buffer one span per delivery burst, priced from
+    /// the burst's aggregates.
     tracer: Option<Arc<Tracer>>,
     /// Batched quiet-frame dispatch toggle (on by default). Quiet
     /// stretches — upcoming whole frames guaranteed to produce zero
@@ -449,13 +462,17 @@ impl Runtime {
             .map(|p| 1.0e9 / DomainPowerModel::new(p.kind()).anchor_hz())
             .collect();
         let totals = vec![SlotTotals::default(); pes.len()];
+        let source_shared = shares_a_node(&sources, |s| s.to);
         let mut runtime = Self {
             window_base: totals.clone(),
             cycles_per_token,
             totals,
             route_table: Vec::new(),
+            route_shared: Vec::new(),
             route_gen: 0,
+            source_shared,
             burst: VecDeque::new(),
+            fanout: VecDeque::new(),
             pes,
             fabric,
             sources,
@@ -503,6 +520,12 @@ impl Runtime {
                 fan_out.push(*route);
             }
         }
+        self.route_shared.clear();
+        self.route_shared.extend(
+            self.route_table
+                .iter()
+                .map(|fan_out| shares_a_node(fan_out, |r| r.to)),
+        );
         self.route_gen = self.fabric.generation();
     }
 
@@ -729,14 +752,12 @@ impl Runtime {
                 frame_len,
             });
         }
-        // Byte-adapted sources deliver two tokens per sample with
-        // per-byte accounting the batch path does not reproduce; routes
-        // off the installed array must surface the scalar path's error.
+        // Sources sharing a PE interleave per sample, which a per-source
+        // chunk would not; routes off the installed array must surface the
+        // per-frame path's error.
         let batchable = self.block_dispatch
-            && self
-                .sources
-                .iter()
-                .all(|s| s.adapter == Adapter::Direct && s.to.0 < self.pes.len());
+            && !self.source_shared
+            && self.sources.iter().all(|s| s.to.0 < self.pes.len());
         if !batchable {
             for frame in block.chunks_exact(frame_len) {
                 self.push_frame_inner(frame)?;
@@ -809,16 +830,7 @@ impl Runtime {
         sink_on: bool,
     ) -> Result<(), RuntimeError> {
         for k in 0..self.sources.len() {
-            let src = self.sources[k];
-            let slot = src.to.0;
-            let tokens = (chunk * frame_len) as u64;
-            let t = &mut self.totals[slot];
-            t.tokens_in += tokens;
-            t.bytes_in += 2 * tokens;
-            t.busy_cycles += self.cycles_per_token[slot] * tokens;
-            // Sources carry Token::Sample only, so the probe tap (which
-            // records Token::Value) can never fire on this path.
-            self.pes[slot].push_samples(src.port, samples)?;
+            self.ingest(k, samples).map_err(|(_, e)| e)?;
         }
         // Quiet-skip attribution, batched: one add per source for the
         // whole chunk (the batchable precondition already proved every
@@ -885,35 +897,33 @@ impl Runtime {
         } else {
             Vec::new()
         };
-        for s in frame {
-            for k in 0..self.sources.len() {
-                let src = self.sources[k];
-                match src.adapter {
-                    Adapter::Direct => {
-                        self.push_to(src.to, src.port, Token::Sample(*s), 2)?;
-                    }
-                    Adapter::SamplesToBytes => {
-                        for b in s.to_le_bytes() {
-                            self.push_to(src.to, src.port, Token::Byte(b), 1)?;
-                        }
-                    }
+        if self.source_shared {
+            for s in frame {
+                for k in 0..self.sources.len() {
+                    self.ingest(k, std::slice::from_ref(s))
+                        .map_err(|(_, e)| e)?;
                 }
+            }
+        } else {
+            let mut first = None;
+            for k in 0..self.sources.len() {
+                if let Err(e) = self.ingest(k, frame) {
+                    keep_earliest(&mut first, e);
+                }
+            }
+            if let Some((_, e)) = first {
+                return Err(e);
             }
         }
         if tag != 0 {
             self.trace_sources(tag, frame.len(), &stall_base);
         }
-        // Source-ingest attribution: exactly the cycles the loop above
-        // charged via `push_to` (one token per sample for Direct, two per
-        // sample byte-adapted).
+        // Source-ingest attribution: exactly the cycles `ingest` charged.
+        // The same frames in a quiet chunk charge `quiet_cycles` instead.
         for src in &self.sources {
             let slot = src.to.0;
             if let Some(t) = self.totals.get_mut(slot) {
-                let tokens = match src.adapter {
-                    Adapter::Direct => frame.len() as u64,
-                    Adapter::SamplesToBytes => 2 * frame.len() as u64,
-                };
-                t.ingest_cycles += tokens * self.cycles_per_token[slot];
+                t.ingest_cycles += frame.len() as u64 * self.cycles_per_token[slot];
             }
         }
         self.frame_idx += 1;
@@ -1195,33 +1205,28 @@ impl Runtime {
         self.window_start = end;
     }
 
-    /// Delivers `token` (whose wire size is `bytes`, computed once by the
-    /// caller) into a PE's input port, accounting the slot's totals.
-    fn push_to(
-        &mut self,
-        to: NodeId,
-        port: usize,
-        token: Token,
-        bytes: u64,
-    ) -> Result<(), RuntimeError> {
-        if self.probe_slot == to.0 {
-            if let Token::Value(v) = token {
-                self.probed.push((port, v));
-            }
+    /// Delivers `samples` down source route `k` in one
+    /// [`ProcessingElement::push_samples`] call, charging the slot's totals
+    /// exactly as per-sample pushes would (a rejected sample included). On
+    /// an error, returns it with the index of the rejected sample.
+    fn ingest(&mut self, k: usize, samples: &[i16]) -> Result<(), (u64, RuntimeError)> {
+        let src = self.sources[k];
+        let slot = src.to.0;
+        if slot >= self.pes.len() {
+            return Err((0, RuntimeError::NoSuchNode(src.to)));
         }
-        let Some(t) = self.totals.get_mut(to.0) else {
-            return Err(RuntimeError::NoSuchNode(to));
-        };
-        t.tokens_in += 1;
-        t.bytes_in += bytes;
-        t.busy_cycles += self.cycles_per_token[to.0];
-        // A push that finds the output FIFO still occupied means the
-        // consumer has not kept up — count it as back-pressure.
-        if self.pes[to.0].output_fifo().is_some_and(|f| !f.is_empty()) {
-            t.stall_cycles += 1;
+        // Sources carry Token::Sample only, so the probe tap (which records
+        // Token::Value) never fires on ingest.
+        let d = self.pes[slot].push_samples(src.port, samples);
+        let t = &mut self.totals[slot];
+        t.tokens_in += d.consumed;
+        t.bytes_in += 2 * d.consumed;
+        t.busy_cycles += self.cycles_per_token[slot] * d.consumed;
+        t.stall_cycles += d.stalls;
+        match d.error {
+            Some(e) => Err((d.consumed - 1, RuntimeError::Pe(e))),
+            None => Ok(()),
         }
-        self.pes[to.0].push(port, token)?;
-        Ok(())
     }
 
     /// Flushes the frame's buffered span events into the tracer under a
@@ -1259,10 +1264,7 @@ impl Runtime {
             if to >= self.pes.len() {
                 continue;
             }
-            let (tokens, bytes) = match src.adapter {
-                Adapter::Direct => (channels as u64, 2 * channels as u64),
-                Adapter::SamplesToBytes => (2 * channels as u64, 2 * channels as u64),
-            };
+            let (tokens, bytes) = (channels as u64, 2 * channels as u64);
             let wait = if seen.contains(&to) {
                 0
             } else {
@@ -1293,28 +1295,11 @@ impl Runtime {
         }
     }
 
-    /// Records one routed transfer of `bytes` payload bytes on the fabric
-    /// and in the telemetry sink's per-link counters.
-    fn account_transfer(&mut self, route: Route, bytes: u64, sink_on: bool) {
-        self.fabric
-            .record_transfer_bytes(route.from, route.to, bytes);
-        if sink_on {
-            let link = Scope::Link {
-                from: route.from.0 as u8,
-                to: route.to.0 as u8,
-            };
-            self.sink.add(link, Counter::BytesOut, bytes);
-            self.sink.add(link, Counter::TokensOut, 1);
-        }
-    }
-
     /// Drains every PE output until the array is quiescent.
     ///
     /// This is the streaming hot path: it performs zero heap allocations
-    /// per token in steady state. Fan-out is looked up in the precomputed
-    /// per-node route table, and the token itself is *moved* to its
-    /// consumer — cloned only for the first `fan_out - 1` consumers of a
-    /// multi-route node.
+    /// per token in steady state. Each producer's whole output FIFO is
+    /// drained as one burst and handed to [`Runtime::deliver`].
     fn propagate(&mut self) -> Result<(), RuntimeError> {
         if self.route_gen != self.fabric.generation() {
             self.sync_fabric()?;
@@ -1340,144 +1325,169 @@ impl Runtime {
             let mut moved = false;
             for i in 0..self.pes.len() {
                 // Idle PEs (the common case between block boundaries) cost
-                // one occupancy read, as the old pull-loop did.
+                // one occupancy read.
                 if self.pes[i].output_fifo().is_some_and(|f| f.is_empty()) {
                     continue;
                 }
-                burst.clear();
                 self.pes[i].drain_output(burst);
                 if burst.is_empty() {
                     continue;
                 }
                 moved = true;
-                let is_radio = self.radio_slot == i;
-                let is_mcu = self.mcu_slot == i;
-                let fan_out = self.route_table[i].len();
-                // Sticky causal context: a traced frame tags its producers'
-                // output FIFOs, so every downstream burst inherits the tag.
-                // With no tracer attached this is a single branch per burst.
-                let tag = if self.tracer.is_some() {
-                    self.pes[i].output_fifo().map_or(0, |f| f.trace_tag())
-                } else {
-                    0
-                };
-                // Fast path for the dominant shape — one consumer, no
-                // radio/MCU/probe tap on either end: every counter the
-                // generic path updates per token is batched into one
-                // update per burst, including the sink's per-link counters
-                // when telemetry is attached (the adds are additive, so
-                // totals are identical). The per-push stall probe stays,
-                // as the consumer's output occupancy evolves during the
-                // burst. A sticky trace tag does NOT force the slow path:
-                // the one delivery span a tagged single-consumer burst
-                // produces is priced by `trace_burst` from exactly the
-                // aggregates computed here (token count, wire bytes, the
-                // consumer's pre-burst stall count).
-                if fan_out == 1 && !is_radio && !is_mcu {
-                    let route = self.route_table[i][0];
-                    let to = route.to.0;
-                    if to < self.totals.len() && self.probe_slot != to {
-                        let mut n = 0u64;
-                        let mut total_bytes = 0u64;
-                        let mut stalls = 0u64;
-                        let mut res = Ok(());
-                        // The consumer's output only grows during the
-                        // burst (nothing drains it until its own sweep),
-                        // so once a push observes back-pressure every
-                        // later push stalls too — probe until then.
-                        let mut stalled = false;
-                        while let Some(token) = burst.pop_front() {
-                            n += 1;
-                            total_bytes += token.wire_bytes() as u64;
-                            if !stalled {
-                                stalled = self.pes[to].output_fifo().is_some_and(|f| !f.is_empty());
-                            }
-                            if stalled {
-                                stalls += 1;
-                            }
-                            if let Err(e) = self.pes[to].push(route.to_port, token) {
-                                res = Err(RuntimeError::Pe(e));
-                                break;
-                            }
-                        }
-                        let t = &mut self.totals[i];
-                        t.tokens_out += n;
-                        t.bytes_out += total_bytes;
-                        let d = &mut self.totals[to];
-                        d.tokens_in += n;
-                        d.bytes_in += total_bytes;
-                        d.busy_cycles += self.cycles_per_token[to] * n;
-                        d.stall_cycles += stalls;
-                        self.fabric
-                            .record_transfers(route.from, route.to, n, total_bytes);
-                        if sink_on && n != 0 {
-                            let link = Scope::Link {
-                                from: route.from.0 as u8,
-                                to: route.to.0 as u8,
-                            };
-                            self.sink.add(link, Counter::BytesOut, total_bytes);
-                            self.sink.add(link, Counter::TokensOut, n);
-                        }
-                        if tag != 0 && res.is_ok() {
-                            let stall_base = self.totals[to].stall_cycles - stalls;
-                            self.trace_burst(tag, i, n, total_bytes, &[stall_base], false);
-                        }
-                        res?;
-                        continue;
-                    }
-                }
-                // Pre-burst snapshot for span costing — traced bursts only.
-                // The stall baseline reuses a scratch vector so traced
-                // bursts allocate nothing in steady state.
-                let trace_pre = if tag != 0 {
-                    let mut stall_base = std::mem::take(&mut self.trace_stall_scratch);
-                    stall_base.clear();
-                    stall_base.extend(
-                        self.route_table[i]
-                            .iter()
-                            .map(|r| self.totals.get(r.to.0).map_or(0, |t| t.stall_cycles)),
-                    );
-                    Some((
-                        burst.len() as u64,
-                        burst.iter().map(|t| t.wire_bytes() as u64).sum::<u64>(),
-                        stall_base,
-                    ))
-                } else {
-                    None
-                };
-                while let Some(token) = burst.pop_front() {
-                    let bytes = token.wire_bytes() as u64;
-                    let t = &mut self.totals[i];
-                    t.tokens_out += 1;
-                    t.bytes_out += bytes;
-                    if is_radio {
-                        self.radio.consume(&token);
-                    }
-                    if is_mcu {
-                        if let Token::Flag(f) = token {
-                            self.mcu_flags.push((self.frame_idx, f));
-                        }
-                    }
-                    if fan_out == 0 {
-                        continue;
-                    }
-                    for k in 0..fan_out - 1 {
-                        let route = self.route_table[i][k];
-                        self.account_transfer(route, bytes, sink_on);
-                        self.push_to(route.to, route.to_port, token.clone(), bytes)?;
-                    }
-                    let route = self.route_table[i][fan_out - 1];
-                    self.account_transfer(route, bytes, sink_on);
-                    self.push_to(route.to, route.to_port, token, bytes)?;
-                }
-                if let Some((n, total_bytes, stall_base)) = trace_pre {
-                    self.trace_burst(tag, i, n, total_bytes, &stall_base, is_radio);
-                    self.trace_stall_scratch = stall_base;
+                self.deliver(i, burst, sink_on)?;
+                // A producer with no route (radio or MCU only) leaves its
+                // tapped burst behind; hand the emptied buffer back.
+                burst.clear();
+                if let Some(f) = self.pes[i].output_fifo_mut() {
+                    f.reclaim(burst);
                 }
             }
             if !moved {
                 return Ok(());
             }
+        }
+    }
+
+    /// Delivers one burst drained from slot `from`, batched per burst:
+    /// tokens and wire bytes are counted once, and the radio, MCU and
+    /// probe taps are fed in one pass over the burst. Each route then gets
+    /// one [`ProcessingElement::push_burst`] — a copy of the burst for
+    /// every route but the last, which takes the burst itself — and one
+    /// update of the link, the sink's link counters and the consumer's
+    /// totals. Every counter equals the per-token sum: consumers are
+    /// distinct, so delivering route by route changes no consumer's input
+    /// order, and the error returned is the one a per-token loop would
+    /// hit first. A node with two routes into one consumer keeps the
+    /// per-token interleaving instead, delivering one-token bursts.
+    ///
+    /// On an error the undelivered remainder is discarded and the burst's
+    /// counters stay partial — the stream is dead once a push fails.
+    fn deliver(
+        &mut self,
+        from: usize,
+        burst: &mut VecDeque<Token>,
+        sink_on: bool,
+    ) -> Result<(), RuntimeError> {
+        let is_radio = self.radio_slot == from;
+        let is_mcu = self.mcu_slot == from;
+        let routes = &self.route_table[from];
+        let probe = self.probe_slot;
+        let probed = routes.iter().any(|r| r.to.0 == probe);
+        let n = burst.len() as u64;
+        let mut bytes = 0u64;
+        for token in burst.iter() {
+            bytes += token.wire_bytes() as u64;
+            if is_radio {
+                self.radio.consume(token);
+            }
+            if is_mcu {
+                if let Token::Flag(f) = *token {
+                    self.mcu_flags.push((self.frame_idx, f));
+                }
+            }
+            if probed {
+                if let Token::Value(v) = *token {
+                    for r in routes.iter().filter(|r| r.to.0 == probe) {
+                        self.probed.push((r.to_port, v));
+                    }
+                }
+            }
+        }
+        let t = &mut self.totals[from];
+        t.tokens_out += n;
+        t.bytes_out += bytes;
+        // Sticky causal context: a traced frame tags its producers' output
+        // FIFOs, so every downstream burst inherits the tag. With no
+        // tracer attached this is a single branch per burst. The
+        // consumers' pre-burst stall counts price the spans' FIFO waits.
+        let tag = if self.tracer.is_some() {
+            self.pes[from].output_fifo().map_or(0, |f| f.trace_tag())
+        } else {
+            0
+        };
+        let mut stall_base = std::mem::take(&mut self.trace_stall_scratch);
+        if tag != 0 {
+            stall_base.clear();
+            stall_base.extend(
+                self.route_table[from]
+                    .iter()
+                    .map(|r| self.totals.get(r.to.0).map_or(0, |t| t.stall_cycles)),
+            );
+        }
+        let fan_out = self.route_table[from].len();
+        let mut copy = std::mem::take(&mut self.fanout);
+        let mut first = None;
+        if self.route_shared[from] {
+            'tokens: while let Some(token) = burst.pop_front() {
+                let size = token.wire_bytes() as u64;
+                for k in 0..fan_out {
+                    copy.push_back(token.clone());
+                    if let Err(e) = self.deliver_route(from, k, &mut copy, 1, size, sink_on) {
+                        first = Some(e);
+                        break 'tokens;
+                    }
+                }
+            }
+        } else {
+            for k in 0..fan_out {
+                let tokens = if k + 1 < fan_out {
+                    copy.clear();
+                    copy.extend(burst.iter().cloned());
+                    &mut copy
+                } else {
+                    &mut *burst
+                };
+                if let Err(e) = self.deliver_route(from, k, tokens, n, bytes, sink_on) {
+                    keep_earliest(&mut first, e);
+                }
+            }
+        }
+        copy.clear();
+        self.fanout = copy;
+        if tag != 0 && first.is_none() {
+            self.trace_burst(tag, from, n, bytes, &stall_base, is_radio);
+        }
+        self.trace_stall_scratch = stall_base;
+        first.map_or(Ok(()), |(_, e)| Err(e))
+    }
+
+    /// Pushes `tokens` (`n` tokens, `bytes` wire bytes) down route `k` of
+    /// slot `from` in one [`ProcessingElement::push_burst`], recording the
+    /// transfers on the fabric and in the sink's link counters and
+    /// charging the consumer's totals. On an error, returns it with the
+    /// index of the rejected token.
+    fn deliver_route(
+        &mut self,
+        from: usize,
+        k: usize,
+        tokens: &mut VecDeque<Token>,
+        n: u64,
+        bytes: u64,
+        sink_on: bool,
+    ) -> Result<(), (u64, RuntimeError)> {
+        let route = self.route_table[from][k];
+        let to = route.to.0;
+        if to >= self.pes.len() {
+            return Err((0, RuntimeError::NoSuchNode(route.to)));
+        }
+        self.fabric.record_transfers(route.from, route.to, n, bytes);
+        if sink_on {
+            let link = Scope::Link {
+                from: route.from.0 as u8,
+                to: to as u8,
+            };
+            self.sink.add(link, Counter::BytesOut, bytes);
+            self.sink.add(link, Counter::TokensOut, n);
+        }
+        let d = self.pes[to].push_burst(route.to_port, tokens);
+        let t = &mut self.totals[to];
+        t.tokens_in += n;
+        t.bytes_in += bytes;
+        t.busy_cycles += self.cycles_per_token[to] * n;
+        t.stall_cycles += d.stalls;
+        match d.error {
+            Some(e) => Err((d.consumed - 1, RuntimeError::Pe(e))),
+            None => Ok(()),
         }
     }
 
@@ -1585,9 +1595,9 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halo_kernels::Threshold;
+    use halo_kernels::{LinearSvm, Threshold};
     use halo_noc::Route;
-    use halo_pe::pes::{GatePe, NeoPe, ThrPe};
+    use halo_pe::pes::{GatePe, NeoPe, SvmPe, ThrPe};
 
     /// Builds the NEO spike-detection graph by hand and checks end-to-end
     /// token flow: ADC -> NEO -> THR -> GATE(ctrl), ADC -> GATE(data).
@@ -1616,12 +1626,10 @@ mod tests {
             SourceRoute {
                 to: NodeId(0),
                 port: 0,
-                adapter: Adapter::Direct,
             },
             SourceRoute {
                 to: NodeId(2),
                 port: 0,
-                adapter: Adapter::Direct,
             },
         ];
         Runtime::new(pes, fabric, sources, Some(NodeId(2)), Some(NodeId(1))).unwrap()
@@ -1744,6 +1752,170 @@ mod tests {
         assert_eq!(by_frame.radio_stream(), by_block.radio_stream());
         assert_eq!(by_frame.mcu_flags(), by_block.mcu_flags());
         assert_eq!(by_frame.fabric().bus_bytes(), by_block.fabric().bus_bytes());
+    }
+
+    /// Builds a runtime over `pes` with the given `(from, to, port)` routes.
+    fn wired(
+        pes: Vec<Box<dyn ProcessingElement>>,
+        routes: &[(usize, usize, usize)],
+        sources: &[(usize, usize)],
+        radio: Option<usize>,
+        mcu: Option<usize>,
+    ) -> Runtime {
+        let mut fabric = Fabric::new();
+        for &(from, to, to_port) in routes {
+            fabric
+                .connect(Route {
+                    from: NodeId(from),
+                    to: NodeId(to),
+                    to_port,
+                })
+                .unwrap();
+        }
+        let sources = sources
+            .iter()
+            .map(|&(to, port)| SourceRoute {
+                to: NodeId(to),
+                port,
+            })
+            .collect();
+        Runtime::new(pes, fabric, sources, radio.map(NodeId), mcu.map(NodeId)).unwrap()
+    }
+
+    /// Streams `samples` through three fresh runtimes — frame by frame, by
+    /// block with dispatch on, by block with dispatch off — and asserts
+    /// every observable output agrees; returns the frame-by-frame one.
+    fn run_three_ways(make: impl Fn() -> Runtime, samples: &[i16], frame_len: usize) -> Runtime {
+        let mut by_frame = make();
+        for frame in samples.chunks_exact(frame_len) {
+            by_frame.push_frame(frame).unwrap();
+        }
+        by_frame.finish().unwrap();
+        for dispatch in [true, false] {
+            let mut by_block = make();
+            by_block.set_block_dispatch(dispatch);
+            by_block.push_block(samples, frame_len).unwrap();
+            by_block.finish().unwrap();
+            let what = format!("block dispatch {dispatch}");
+            assert_eq!(by_frame.slot_totals(), by_block.slot_totals(), "{what}");
+            assert_eq!(by_frame.radio_stream(), by_block.radio_stream(), "{what}");
+            assert_eq!(by_frame.mcu_flags(), by_block.mcu_flags(), "{what}");
+            assert_eq!(by_frame.probed(), by_block.probed(), "{what}");
+            assert_eq!(
+                by_frame.fabric().link_traffic(),
+                by_block.fabric().link_traffic(),
+                "{what}"
+            );
+        }
+        by_frame
+    }
+
+    fn test_stream(len: usize) -> Vec<i16> {
+        (0..len as i32)
+            .map(|t| (((t * 37) % 200 - 100) * if t % 11 == 0 { 90 } else { 3 }) as i16)
+            .collect()
+    }
+
+    /// A fan-out producer that also feeds the radio and a probe tap:
+    /// ADC → NEO(0) → THR(1) → GATE(3) control and NEO(0) → THR(2), with
+    /// NEO(0) on the radio, THR(2) probed and feeding the MCU, and the ADC
+    /// also on GATE(3)'s data port. Every route and tap sees the whole
+    /// burst, exactly once.
+    #[test]
+    fn fan_out_burst_reaches_every_route_and_tap_once() {
+        let make = || {
+            let pes: Vec<Box<dyn ProcessingElement>> = vec![
+                Box::new(NeoPe::with_channels(3)),
+                Box::new(ThrPe::new(Threshold::above(5_000))),
+                Box::new(ThrPe::new(Threshold::above(50_000))),
+                Box::new(GatePe::with_channels(2, 3, 1)),
+            ];
+            let routes = [(0, 1, 0), (0, 2, 0), (1, 3, 1)];
+            let mut rt = wired(pes, &routes, &[(0, 0), (3, 0)], Some(0), Some(2));
+            rt.probe_into(NodeId(2));
+            rt
+        };
+        let rt = run_three_ways(make, &test_stream(3 * 64), 3);
+        let t = rt.slot_totals();
+        let values = t[0].tokens_out;
+        assert_eq!(values, 3 * 64, "NEO emits one value per sample");
+        assert_eq!(t[1].tokens_in, values);
+        assert_eq!(t[2].tokens_in, values);
+        assert_eq!(rt.probed().len() as u64, values);
+        assert_eq!(rt.radio_stream().len() as u64, 8 * values);
+        assert_eq!(rt.mcu_flags().len() as u64, t[2].tokens_out);
+        assert!(rt.mcu_flags().iter().any(|&(_, f)| f));
+        let routed = t[1].tokens_in + t[2].tokens_in + t[3].tokens_in - 3 * 64;
+        assert_eq!(rt.fabric().transfers(), routed);
+    }
+
+    /// Two routes into one consumer (NEO(0) → SVM(1) ports 0 and 1) and two
+    /// sources into one PE (the ADC twice into NEO(0)) keep the per-token
+    /// interleaving: stalls and classifications equal a hand-driven
+    /// per-token replay of the same graph.
+    #[test]
+    fn shared_consumers_keep_per_token_order() {
+        let svm = || SvmPe::with_ports(LinearSvm::new(vec![1, -1, 2, 1], 0).unwrap(), vec![2, 2]);
+        let make = || {
+            let pes: Vec<Box<dyn ProcessingElement>> =
+                vec![Box::new(NeoPe::with_channels(4)), Box::new(svm())];
+            wired(
+                pes,
+                &[(0, 1, 0), (0, 1, 1)],
+                &[(0, 0), (0, 0)],
+                None,
+                Some(1),
+            )
+        };
+        let samples = test_stream(2 * 48);
+        let rt = run_three_ways(make, &samples, 2);
+
+        let mut neo = NeoPe::with_channels(4);
+        let mut svm = svm();
+        let (mut neo_stalls, mut svm_stalls, mut flags) = (0u64, 0u64, Vec::new());
+        for (f, frame) in samples.chunks_exact(2).enumerate() {
+            for &s in frame {
+                for _ in 0..2 {
+                    neo_stalls += u64::from(neo.output_fifo().is_some_and(|q| !q.is_empty()));
+                    neo.push(0, Token::Sample(s)).unwrap();
+                }
+            }
+            while let Some(token) = neo.pull() {
+                for port in 0..2 {
+                    svm_stalls += u64::from(svm.output_fifo().is_some_and(|q| !q.is_empty()));
+                    svm.push(port, token.clone()).unwrap();
+                }
+            }
+            while let Some(token) = svm.pull() {
+                if let Token::Flag(b) = token {
+                    flags.push((f as u64 + 1, b));
+                }
+            }
+        }
+        assert!(!flags.is_empty());
+        assert_eq!(rt.slot_totals()[0].stall_cycles, neo_stalls);
+        assert_eq!(rt.slot_totals()[1].stall_cycles, svm_stalls);
+        assert_eq!(rt.mcu_flags(), &flags[..]);
+    }
+
+    /// Sources are delivered one `push_samples` each, yet a bad frame
+    /// reports the error a per-sample loop would meet first: sample 0 at
+    /// the first bad source.
+    #[test]
+    fn source_errors_surface_in_per_token_order() {
+        let neos = |n: usize| -> Vec<Box<dyn ProcessingElement>> {
+            (0..n)
+                .map(|_| Box::new(NeoPe::new()) as Box<dyn ProcessingElement>)
+                .collect()
+        };
+        let mut rt = wired(neos(3), &[], &[(0, 0), (1, 5), (2, 7)], None, None);
+        let expected = RuntimeError::Pe(PeError::NoSuchPort { pe: "NEO", port: 5 });
+        assert_eq!(rt.push_frame(&[1]), Err(expected));
+        let mut rt = wired(neos(2), &[], &[(0, 0), (4, 0), (1, 7)], None, None);
+        assert_eq!(
+            rt.push_block(&[1, 2], 1),
+            Err(RuntimeError::NoSuchNode(NodeId(4)))
+        );
     }
 
     /// Telemetry attachment must not perturb the simulation, and the

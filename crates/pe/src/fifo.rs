@@ -57,11 +57,26 @@ impl Fifo {
     }
 
     /// Moves every queued token into `out`, preserving order. When `out`
-    /// is empty this is an O(1) buffer swap (`VecDeque::append`), so the
-    /// runtime drains a whole burst wholesale instead of popping token by
-    /// token. The high-water statistic is unaffected.
+    /// is empty (the runtime's case) this is an O(1) buffer swap, so a
+    /// whole burst changes hands without touching a token; otherwise the
+    /// tokens are appended. The high-water statistic and the trace tag
+    /// stay with the FIFO.
     pub fn drain_into(&mut self, out: &mut VecDeque<Token>) {
-        out.append(&mut self.queue);
+        if out.is_empty() {
+            std::mem::swap(out, &mut self.queue);
+        } else {
+            out.append(&mut self.queue);
+        }
+    }
+
+    /// Takes back the buffer [`Fifo::drain_into`] swapped out, once the
+    /// caller has emptied it and no token has arrived since, so every FIFO
+    /// keeps the capacity its own bursts need instead of buffers rotating
+    /// (and each growing to the largest burst) across FIFOs.
+    pub fn reclaim(&mut self, buffer: &mut VecDeque<Token>) {
+        if self.queue.is_empty() && buffer.is_empty() {
+            std::mem::swap(buffer, &mut self.queue);
+        }
     }
 
     /// Current occupancy.
@@ -116,6 +131,40 @@ mod tests {
             assert_eq!(f.pop(), Some(Token::Sample(i)));
         }
         assert_eq!(f.pop(), None);
+    }
+
+    #[test]
+    fn drain_into_preserves_order_either_way() {
+        let mut f = Fifo::new();
+        f.push(Token::Sample(1));
+        f.push(Token::Sample(2));
+        let mut out = VecDeque::new();
+        f.drain_into(&mut out);
+        assert!(f.is_empty());
+        f.push(Token::Sample(3));
+        f.drain_into(&mut out);
+        assert!(f.is_empty());
+        let got: Vec<Token> = out.into_iter().collect();
+        assert_eq!(got, [1, 2, 3].map(Token::Sample));
+        assert_eq!(f.high_water(), 2);
+    }
+
+    #[test]
+    fn reclaim_returns_the_drained_buffer() {
+        let mut f = Fifo::new();
+        for i in 0..100 {
+            f.push(Token::Sample(i));
+        }
+        let mut out = VecDeque::new();
+        f.drain_into(&mut out);
+        let big = out.capacity();
+        out.clear();
+        f.reclaim(&mut out);
+        assert!(f.queue.capacity() >= big && out.capacity() < big);
+        // Nothing moves while either side still holds tokens.
+        f.push(Token::Sample(1));
+        f.reclaim(&mut out);
+        assert_eq!(f.len(), 1);
     }
 
     #[test]

@@ -37,4 +37,4 @@ pub use clock::ClockDomain;
 pub use error::PeError;
 pub use fifo::Fifo;
 pub use token::{InterfaceKind, Token};
-pub use traits::{PeKind, ProcessingElement};
+pub use traits::{Delivery, PeKind, ProcessingElement};

@@ -3,7 +3,7 @@
 use crate::error::PeError;
 use crate::fifo::Fifo;
 use crate::token::{InterfaceKind, Token};
-use crate::traits::{PeKind, ProcessingElement};
+use crate::traits::{push_each, Delivery, PeKind, ProcessingElement};
 use halo_kernels::{Bbf, BbfDesign, ChannelBlock};
 
 /// Output mode of the BBF PE.
@@ -165,22 +165,21 @@ impl ProcessingElement for BbfPe {
         }
     }
 
-    fn push_samples(&mut self, port: usize, samples: &[i16]) -> Result<(), PeError> {
-        self.check_port(port, &Token::Sample(0))?;
+    fn push_samples(&mut self, port: usize, samples: &[i16]) -> Delivery {
         let channels = self.lanes.len();
-        let batchable = matches!(self.mode, BbfMode::Energy { .. })
+        let batchable = self.check_port(port, &Token::Sample(0)).is_ok()
+            && matches!(self.mode, BbfMode::Energy { .. })
             && self.frame_pos == 0
             && samples.len().is_multiple_of(channels);
         if !batchable {
-            for &s in samples {
-                self.push(port, Token::Sample(s))?;
-            }
-            return Ok(());
+            return push_each(self, port, samples.iter().map(|&s| Token::Sample(s)));
         }
         let BbfMode::Energy { window_frames } = self.mode else {
             unreachable!("checked above");
         };
         let frames = samples.len() / channels;
+        // Samples consumed before the output first held a token.
+        let mut first_out = (!self.out.is_empty()).then_some(0);
         self.scratch.fill_from_interleaved(samples, channels);
         let mut f = 0;
         while f < frames {
@@ -197,9 +196,12 @@ impl ProcessingElement for BbfPe {
             f += run;
             if self.frames_seen == window_frames {
                 self.emit_energies();
+                if !self.out.is_empty() {
+                    first_out.get_or_insert(f * channels);
+                }
             }
         }
-        Ok(())
+        Delivery::clean(samples.len(), first_out)
     }
 
     fn flush(&mut self) {

@@ -3,7 +3,7 @@
 use crate::error::PeError;
 use crate::fifo::Fifo;
 use crate::token::{InterfaceKind, Token};
-use crate::traits::{PeKind, ProcessingElement};
+use crate::traits::{push_each, Delivery, PeKind, ProcessingElement};
 use halo_kernels::{ChannelBlock, Fft};
 
 /// The FFT PE: per-channel transform windows over a frame-interleaved
@@ -203,17 +203,18 @@ impl ProcessingElement for FftPe {
         }
     }
 
-    fn push_samples(&mut self, port: usize, samples: &[i16]) -> Result<(), PeError> {
-        self.check_port(port, &Token::Sample(0))?;
-        // The SoA path needs whole frames starting at channel 0; anything
-        // else goes through the scalar adapter.
-        if self.frame_pos != 0 || !samples.len().is_multiple_of(self.channels) {
-            for &s in samples {
-                self.push_sample(s);
-            }
-            return Ok(());
+    fn push_samples(&mut self, port: usize, samples: &[i16]) -> Delivery {
+        // The SoA path needs a sample port and whole frames starting at
+        // channel 0; anything else goes through the per-token reference.
+        if self.check_port(port, &Token::Sample(0)).is_err()
+            || self.frame_pos != 0
+            || !samples.len().is_multiple_of(self.channels)
+        {
+            return push_each(self, port, samples.iter().map(|&s| Token::Sample(s)));
         }
         let frames = samples.len() / self.channels;
+        // Samples consumed before the output first held a token.
+        let mut first_out = (!self.out.is_empty()).then_some(0);
         self.scratch.fill_from_interleaved(samples, self.channels);
         let mut f = 0;
         while f < frames {
@@ -256,9 +257,15 @@ impl ProcessingElement for FftPe {
             f += run;
             if run == remaining {
                 self.emit_all_lanes();
+                // Sample by sample, the first selected lane of the
+                // emitting frame is the first to speak.
+                if !self.out.is_empty() {
+                    let first_lane = self.lanes.iter().position(Option::is_some).unwrap_or(0);
+                    first_out.get_or_insert((f - 1) * self.channels + first_lane + 1);
+                }
             }
         }
-        Ok(())
+        Delivery::clean(samples.len(), first_out)
     }
 
     fn flush(&mut self) {

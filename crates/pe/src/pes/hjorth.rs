@@ -16,7 +16,7 @@
 use crate::error::PeError;
 use crate::fifo::Fifo;
 use crate::token::{InterfaceKind, Token};
-use crate::traits::{PeKind, ProcessingElement};
+use crate::traits::{push_each, Delivery, PeKind, ProcessingElement};
 use halo_kernels::hjorth::hjorth;
 use halo_kernels::ChannelBlock;
 
@@ -127,15 +127,16 @@ impl ProcessingElement for HjorthPe {
         ((self.window_frames - self.frames_seen) as u64).saturating_sub(1)
     }
 
-    fn push_samples(&mut self, port: usize, samples: &[i16]) -> Result<(), PeError> {
-        self.check_port(port, &Token::Sample(0))?;
-        if self.frame_pos != 0 || !samples.len().is_multiple_of(self.channels) {
-            for &s in samples {
-                self.push(port, Token::Sample(s))?;
-            }
-            return Ok(());
+    fn push_samples(&mut self, port: usize, samples: &[i16]) -> Delivery {
+        if self.check_port(port, &Token::Sample(0)).is_err()
+            || self.frame_pos != 0
+            || !samples.len().is_multiple_of(self.channels)
+        {
+            return push_each(self, port, samples.iter().map(|&s| Token::Sample(s)));
         }
         let frames = samples.len() / self.channels;
+        // Samples consumed before the output first held a token.
+        let mut first_out = (!self.out.is_empty()).then_some(0);
         self.scratch.fill_from_interleaved(samples, self.channels);
         let mut f = 0;
         while f < frames {
@@ -151,9 +152,12 @@ impl ProcessingElement for HjorthPe {
             f += run;
             if self.frames_seen == self.window_frames {
                 self.emit_window();
+                if !self.out.is_empty() {
+                    first_out.get_or_insert(f * self.channels);
+                }
             }
         }
-        Ok(())
+        Delivery::clean(samples.len(), first_out)
     }
 
     fn flush(&mut self) {

@@ -3,7 +3,7 @@
 use crate::error::PeError;
 use crate::fifo::Fifo;
 use crate::token::{InterfaceKind, Token};
-use crate::traits::{PeKind, ProcessingElement};
+use crate::traits::{push_each, Delivery, PeKind, ProcessingElement};
 use halo_kernels::{BlockXcor, ChannelBlock, StreamingXcor, XcorConfig};
 
 /// Which XCOR algorithm the PE runs — the Figure 6 (left) ablation knob.
@@ -128,15 +128,21 @@ impl ProcessingElement for XcorPe {
         (until as u64).saturating_sub(1)
     }
 
-    fn push_samples(&mut self, port: usize, samples: &[i16]) -> Result<(), PeError> {
-        self.check_port(port, &Token::Sample(0))?;
-        // Mid-frame state or ragged input: keep the per-sample adapter.
-        if !self.frame.is_empty() || !samples.len().is_multiple_of(self.channels) {
-            for &s in samples {
-                self.push(port, Token::Sample(s))?;
-            }
-            return Ok(());
+    fn push_samples(&mut self, port: usize, samples: &[i16]) -> Delivery {
+        // Wrong port, mid-frame state or ragged input: keep the per-sample
+        // adapter.
+        if self.check_port(port, &Token::Sample(0)).is_err()
+            || !self.frame.is_empty()
+            || !samples.len().is_multiple_of(self.channels)
+        {
+            return push_each(self, port, samples.iter().map(|&s| Token::Sample(s)));
         }
+        // Both engines emit one correlation set per window, the first once
+        // `until` more frames have arrived.
+        let until = match &self.engine {
+            Engine::Naive(x) => x.frames_until_emit(),
+            Engine::Streaming(x) => x.frames_until_emit(),
+        };
         let mut results = Vec::new();
         match &mut self.engine {
             Engine::Naive(x) => x.push_interleaved(samples, &mut results),
@@ -145,12 +151,21 @@ impl ProcessingElement for XcorPe {
                 x.push_block(&self.scratch, &mut results);
             }
         }
+        // Samples consumed before the output first held a token.
+        let first_out = if !self.out.is_empty() {
+            Some(0)
+        } else {
+            results
+                .first()
+                .is_some_and(|r| !r.is_empty())
+                .then_some(until * self.channels)
+        };
         for correlations in results {
             for r in correlations {
                 self.out.push(Token::Value((r * Self::SCALE) as i64));
             }
         }
-        Ok(())
+        Delivery::clean(samples.len(), first_out)
     }
 
     fn flush(&mut self) {

@@ -3,6 +3,7 @@
 use crate::error::PeError;
 use crate::fifo::Fifo;
 use crate::token::{InterfaceKind, Token};
+use std::collections::VecDeque;
 
 /// Identity of a PE type — the key into the power model's Table IV anchors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -122,6 +123,62 @@ impl std::fmt::Display for PeKind {
     }
 }
 
+/// What one batched push ([`ProcessingElement::push_burst`] or
+/// [`ProcessingElement::push_samples`]) did, priced exactly as the same
+/// tokens pushed one by one.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Delivery {
+    /// Tokens taken from the input, counting one a push rejected.
+    pub consumed: u64,
+    /// Pushes that found the PE's output FIFO non-empty — the stall rule:
+    /// each such push is one cycle of back-pressure.
+    pub stalls: u64,
+    /// The error that stopped the burst, if a push rejected a token.
+    pub error: Option<PeError>,
+}
+
+impl Delivery {
+    /// A clean batched push of `len` tokens whose output FIFO first held
+    /// a token once `first_out` of them had been consumed (`Some(0)`: it
+    /// was occupied from the start; `None`: it stayed empty). Output only
+    /// grows during a push, so every push from there on stalls.
+    pub(crate) fn clean(len: usize, first_out: Option<usize>) -> Self {
+        Self {
+            consumed: len as u64,
+            stalls: len.saturating_sub(first_out.unwrap_or(len)) as u64,
+            error: None,
+        }
+    }
+}
+
+/// The per-token reference every batched push must match: pushes each
+/// token in order, stopping at the first rejection, and counts the pushes
+/// that find the output FIFO occupied.
+pub(crate) fn push_each<P: ProcessingElement + ?Sized>(
+    pe: &mut P,
+    port: usize,
+    tokens: impl Iterator<Item = Token>,
+) -> Delivery {
+    let mut out = Delivery::default();
+    // The output only grows while pushing (nothing drains it here), so
+    // once a push observes back-pressure every later push does too.
+    let mut stalled = false;
+    for token in tokens {
+        out.consumed += 1;
+        if !stalled {
+            stalled = pe.output_fifo().is_some_and(|f| !f.is_empty());
+        }
+        if stalled {
+            out.stalls += 1;
+        }
+        if let Err(e) = pe.push(port, token) {
+            out.error = Some(e);
+            break;
+        }
+    }
+    out
+}
+
 /// A hardware processing element.
 ///
 /// PEs are push/pull stream machines: the runtime pushes tokens into typed
@@ -173,7 +230,7 @@ pub trait ProcessingElement: Send {
     /// FIFO-backed PE hands over its whole buffer in O(1) (see
     /// [`Fifo::drain_into`]), so the streaming runtime pays one virtual
     /// call per burst instead of one per token.
-    fn drain_output(&mut self, into: &mut std::collections::VecDeque<Token>) {
+    fn drain_output(&mut self, into: &mut VecDeque<Token>) {
         match self.output_fifo_mut() {
             Some(f) => f.drain_into(into),
             None => {
@@ -227,17 +284,21 @@ pub trait ProcessingElement: Send {
     /// Semantically identical to pushing `Token::Sample` per element; the
     /// default does exactly that. Batch-aware PEs (FFT, XCOR, BBF, Hjorth)
     /// override it to run their structure-of-arrays kernels over the slice
-    /// — same arithmetic, same output order, one virtual call.
+    /// — same arithmetic, same output order, same [`Delivery`], one
+    /// virtual call.
+    fn push_samples(&mut self, port: usize, samples: &[i16]) -> Delivery {
+        push_each(self, port, samples.iter().map(|&s| Token::Sample(s)))
+    }
+
+    /// Pushes a burst of tokens into `port`, taking them from the front of
+    /// `tokens`; on an error the tokens after the rejected one stay queued.
     ///
-    /// # Errors
-    ///
-    /// Returns [`PeError`] if the port does not exist or is not a sample
-    /// port.
-    fn push_samples(&mut self, port: usize, samples: &[i16]) -> Result<(), PeError> {
-        for &s in samples {
-            self.push(port, Token::Sample(s))?;
-        }
-        Ok(())
+    /// Semantically identical to [`ProcessingElement::push`] per token.
+    /// Being a default method, it is compiled for each PE type, so the
+    /// per-token push is statically dispatched and a burst costs one
+    /// virtual call.
+    fn push_burst(&mut self, port: usize, tokens: &mut VecDeque<Token>) -> Delivery {
+        push_each(self, port, std::iter::from_fn(|| tokens.pop_front()))
     }
 
     /// Validates an incoming token against a port (helper for

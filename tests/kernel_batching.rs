@@ -1,4 +1,4 @@
-//! Scalar ↔ vector kernel equivalence: every SoA-batched or bit-sliced
+//! Scalar ↔ vector kernel equivalence: every SoA-batched or bit-packed
 //! kernel must be *bit-identical* to its scalar reference — same Q15
 //! rounding, same per-stage scaling, same output bytes — across sizes,
 //! channel counts (including non-multiples of the lane width), and
@@ -10,14 +10,20 @@
 //! `--release` (where the autovectorizer lifts them to SIMD) — the
 //! contract is identical output either way.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use halo::core::{HaloConfig, HaloSystem, Task};
 use halo::kernels::{
     hjorth::{hjorth, hjorth_lanes},
-    Aes128, Bbf, BbfDesign, BlockXcor, ChannelBlock, Dwt, Fft, Gate, LinearSvm, StreamingXcor,
-    Threshold, XcorConfig,
+    Aes128, Bbf, BbfDesign, BlockXcor, ChannelBlock, Dwt, Fft, Gate, LinearSvm, LzMatcher, LzOp,
+    StreamingXcor, Threshold, XcorConfig,
 };
+use halo::pe::pes::{
+    AesPe, BbfMode, BbfPe, DwtMode, DwtPe, FftPe, GatePe, HjorthPe, InterleaverPe, LicPe, LzPe,
+    MaMode, MaPe, NeoPe, RcPe, SvmPe, ThrPe, XcorPe, XcorVariant,
+};
+use halo::pe::{Delivery, InterfaceKind, PeKind, ProcessingElement, Token};
 use halo::signal::{RecordingConfig, RegionProfile, SimRng};
 use halo::telemetry::Tracer;
 
@@ -270,18 +276,15 @@ fn gate_packed_control_matches_scalar_stream() {
 }
 
 #[test]
-fn aes_bitsliced_groups_match_scalar_blocks() {
+fn aes_ecb_matches_scalar_blocks() {
     let mut rng = SimRng::new(0x7009);
     for _ in 0..24 {
         let mut key = [0u8; 16];
         key.copy_from_slice(&rng.bytes(16));
         let aes = Aes128::new(key);
-        // Block counts around the 4-block bitsliced group width: the ECB
-        // path slices 64-byte groups and falls back to scalar for the
-        // remainder.
         let blocks = rng.range_usize(1, 24);
         let data = rng.bytes(blocks * 16);
-        let fast = aes.encrypt_ecb(&data);
+        let ecb = aes.encrypt_ecb(&data);
         let mut expect = Vec::with_capacity(data.len());
         for chunk in data.chunks_exact(16) {
             let mut block = [0u8; 16];
@@ -289,7 +292,7 @@ fn aes_bitsliced_groups_match_scalar_blocks() {
             aes.encrypt_block(&mut block);
             expect.extend_from_slice(&block);
         }
-        assert_eq!(fast, expect, "{blocks} blocks");
+        assert_eq!(ecb, expect, "{blocks} blocks");
     }
 }
 
@@ -388,5 +391,255 @@ fn traced_pipelines_produce_identical_span_trees_either_way() {
         assert_eq!(batched_m.pe_activity, scalar_m.pe_activity, "{task:?}");
         assert_eq!(batched_stats, scalar_stats, "{task:?}: trace stats");
         assert_eq!(batched_trees, scalar_trees, "{task:?}: span trees");
+    }
+}
+
+/// One PE configuration of the burst-delivery suite: a constructor, called
+/// twice for twin instances, its frame width (samples per frame, 1 for
+/// unframed PEs) and the input length its batching works in (window or
+/// block), whose neighbourhood holds the interesting burst lengths.
+struct BurstCase {
+    make: fn() -> Box<dyn ProcessingElement>,
+    frame: usize,
+    block: usize,
+}
+
+/// Every PE kind, with the batch-aware ones (FFT, XCOR, BBF, Hjorth) in
+/// both of their batching regimes.
+fn burst_cases() -> Vec<BurstCase> {
+    fn case(frame: usize, block: usize, make: fn() -> Box<dyn ProcessingElement>) -> BurstCase {
+        BurstCase { make, frame, block }
+    }
+    fn bbf(mode: BbfMode) -> Box<dyn ProcessingElement> {
+        let design = BbfDesign::new(50.0, 150.0, 1000).unwrap();
+        Box::new(BbfPe::with_channels(&design, mode, 3, &[0, 2]))
+    }
+    fn xcor(variant: XcorVariant) -> Box<dyn ProcessingElement> {
+        let config = XcorConfig::new(3, 6, 1, vec![(0, 1), (1, 2)]).unwrap();
+        Box::new(XcorPe::new(config, variant))
+    }
+    fn dwt(mode: DwtMode) -> Box<dyn ProcessingElement> {
+        Box::new(DwtPe::new(Dwt::new(2).unwrap(), mode, 8))
+    }
+    fn lz() -> LzPe {
+        LzPe::new(LzMatcher::new(256).unwrap(), 32)
+    }
+    vec![
+        case(3, 3, || Box::new(NeoPe::with_channels(3))),
+        case(1, 1, || Box::new(ThrPe::new(Threshold::above(0)))),
+        case(2, 2, || Box::new(GatePe::with_channels(3, 2, 2))),
+        case(3, 3, || bbf(BbfMode::Stream)),
+        case(3, 15, || bbf(BbfMode::Energy { window_frames: 5 })),
+        case(3, 48, || {
+            let bands = vec![(0.0, 100.0), (100.0, 250.0)];
+            let fft = Fft::new(8).unwrap();
+            Box::new(FftPe::with_channels(fft, 1000, bands, 3, &[0, 2], 2))
+        }),
+        case(3, 18, || xcor(XcorVariant::Naive)),
+        case(3, 18, || xcor(XcorVariant::Streaming)),
+        case(3, 15, || Box::new(HjorthPe::new(3, &[0, 2], 5))),
+        case(3, 3, || {
+            Box::new(SvmPe::new(LinearSvm::new(vec![3, -2, 5], 7).unwrap()))
+        }),
+        case(1, 8, || dwt(DwtMode::SpikeDetect)),
+        case(1, 8, || dwt(DwtMode::Compress)),
+        case(1, 32, || Box::new(lz())),
+        case(1, 16, || Box::new(lz().from_samples())),
+        case(1, 16, || Box::new(LicPe::new())),
+        case(1, 16, || Box::new(MaPe::new(MaMode::Lzma, 16))),
+        case(1, 16, || Box::new(MaPe::new(MaMode::Dwt { levels: 2 }, 16))),
+        case(1, 16, || Box::new(RcPe::new())),
+        case(1, 16, || Box::new(AesPe::new([7u8; 16]))),
+        case(1, 8, || Box::new(AesPe::new([7u8; 16]).from_samples())),
+        case(3, 12, || Box::new(InterleaverPe::new(3, 4))),
+    ]
+}
+
+const INTERFACES: [InterfaceKind; 8] = [
+    InterfaceKind::Samples,
+    InterfaceKind::Bytes,
+    InterfaceKind::Flags,
+    InterfaceKind::Values,
+    InterfaceKind::Coeffs,
+    InterfaceKind::Ops,
+    InterfaceKind::Probs,
+    InterfaceKind::Vectors,
+];
+
+/// A well-formed token of `kind` (valid probability intervals, real LZ
+/// match lengths), so every PE accepts it without tripping a kernel
+/// assertion.
+fn token_of(kind: InterfaceKind, rng: &mut SimRng) -> Token {
+    match kind {
+        InterfaceKind::Samples => Token::Sample(extreme_samples(rng, 1)[0]),
+        InterfaceKind::Bytes => Token::Byte(rng.range_u64(0, 256) as u8),
+        InterfaceKind::Flags => Token::Flag(rng.range_u64(0, 2) == 1),
+        InterfaceKind::Values => Token::Value(rng.range_u64(0, 1 << 21) as i64 - (1 << 20)),
+        InterfaceKind::Coeffs => Token::Coeff(rng.range_u64(0, 1 << 16) as i32 - (1 << 15)),
+        InterfaceKind::Ops => Token::Op(if rng.range_u64(0, 4) == 0 {
+            LzOp::Match {
+                len: rng.range_u64(4, 20) as u32,
+                dist: rng.range_u64(1, 64) as u32,
+            }
+        } else {
+            LzOp::Literal(rng.range_u64(0, 256) as u8)
+        }),
+        InterfaceKind::Probs => {
+            if rng.range_u64(0, 4) == 0 {
+                let bits = rng.range_u64(1, 17) as u32;
+                Token::Bits {
+                    value: rng.range_u64(0, 1 << bits) as u32,
+                    bits,
+                }
+            } else {
+                let total = rng.range_u64(2, 1025) as u32;
+                let cum = rng.range_u64(0, total as u64) as u32;
+                let freq = rng.range_u64(1, (total - cum) as u64 + 1) as u32;
+                Token::Prob { cum, freq, total }
+            }
+        }
+        InterfaceKind::Vectors => Token::Vector(vec![rng.range_u64(0, 100) as i32]),
+    }
+}
+
+/// A burst for `port` of `expected` tokens: mostly well-formed, with
+/// sparse `BlockEnd` markers and, when `poison` is set, one token of
+/// another interface somewhere in it.
+fn burst_of(expected: InterfaceKind, len: usize, poison: bool, rng: &mut SimRng) -> Vec<Token> {
+    let mut tokens: Vec<Token> = (0..len)
+        .map(|_| {
+            if rng.range_u64(0, 48) == 0 {
+                Token::BlockEnd {
+                    raw_len: rng.range_u64(0, 100) as u32,
+                }
+            } else {
+                token_of(expected, rng)
+            }
+        })
+        .collect();
+    if poison && len > 0 {
+        let others: Vec<InterfaceKind> =
+            INTERFACES.into_iter().filter(|&k| k != expected).collect();
+        let kind = others[rng.range_usize(0, others.len())];
+        tokens[rng.range_usize(0, len)] = token_of(kind, rng);
+    }
+    tokens
+}
+
+/// The per-token reference the batched pushes must match: the runtime's
+/// old delivery loop, which probed the consumer's output FIFO before
+/// every single push.
+fn push_per_token(pe: &mut dyn ProcessingElement, port: usize, tokens: &[Token]) -> Delivery {
+    let mut out = Delivery::default();
+    for token in tokens {
+        out.consumed += 1;
+        if pe.output_fifo().is_some_and(|f| !f.is_empty()) {
+            out.stalls += 1;
+        }
+        if let Err(e) = pe.push(port, token.clone()) {
+            out.error = Some(e);
+            break;
+        }
+    }
+    out
+}
+
+fn pull_all(pe: &mut dyn ProcessingElement) -> Vec<Token> {
+    std::iter::from_fn(|| pe.pull()).collect()
+}
+
+/// `push_burst` and `push_samples` are the per-token `push` loop with the
+/// runtime's stall probe, batched: for every PE kind, the same outputs,
+/// stall counts, consumed counts and error, and the same tokens left
+/// untaken after a rejection. Bursts cover lengths 0, 1 and the
+/// neighbourhood of each PE's batch boundary, frame-aligned runs (the
+/// structure-of-arrays paths) and ragged ones, starts with an occupied
+/// output FIFO (outputs are drained only now and then), `BlockEnd`
+/// markers, and wrong-port and wrong-interface tokens.
+#[test]
+fn burst_pushes_match_per_token_pushes() {
+    let mut rng = SimRng::new(0x700b);
+    let mut kinds = Vec::new();
+    for (c, case) in burst_cases().iter().enumerate() {
+        let mut batched = (case.make)();
+        let mut reference = (case.make)();
+        kinds.push(batched.kind());
+        let ports = batched.input_ports().to_vec();
+        let (b, frame) = (case.block, case.frame);
+        // Samples accepted on port 0 so far: where the PE is in its frame.
+        let mut fed = 0usize;
+        for step in 0..80 {
+            let len = match rng.range_u64(0, 9) {
+                0 => 0,
+                1 => 1,
+                2 => b - 1,
+                3 => b,
+                4 => b + 1,
+                5 => b * rng.range_usize(2, 5),
+                6 => rng.range_usize(0, 3 * b + 2),
+                // Back onto a frame boundary, then whole frames.
+                _ => (frame - fed % frame) % frame + frame * rng.range_usize(0, 2 * b / frame + 2),
+            };
+            let fault = rng.range_u64(0, 10);
+            let port = if fault == 0 {
+                ports.len()
+            } else {
+                rng.range_usize(0, ports.len())
+            };
+            let what = format!(
+                "case {c} ({}) step {step}: len {len} port {port}",
+                batched.kind()
+            );
+            if rng.range_u64(0, 2) == 0 {
+                let samples = extreme_samples(&mut rng, len);
+                let tokens: Vec<Token> = samples.iter().map(|&s| Token::Sample(s)).collect();
+                let want = push_per_token(reference.as_mut(), port, &tokens);
+                let got = batched.push_samples(port, &samples);
+                assert_eq!(got, want, "push_samples, {what}");
+                if port == 0 && want.error.is_none() {
+                    fed += len;
+                }
+            } else {
+                let expected = ports.get(port).copied().unwrap_or(ports[0]);
+                let tokens = burst_of(expected, len, fault == 1, &mut rng);
+                let want = push_per_token(reference.as_mut(), port, &tokens);
+                let mut queue: VecDeque<Token> = tokens.iter().cloned().collect();
+                let got = batched.push_burst(port, &mut queue);
+                assert_eq!(got, want, "push_burst, {what}");
+                assert!(
+                    queue.iter().eq(&tokens[want.consumed as usize..]),
+                    "untaken tokens, {what}"
+                );
+                if port == 0 {
+                    let accepted = want.consumed as usize - usize::from(want.error.is_some());
+                    fed += tokens[..accepted]
+                        .iter()
+                        .filter(|t| matches!(t, Token::Sample(_)))
+                        .count();
+                }
+            }
+            if rng.range_u64(0, 2) == 0 {
+                assert_eq!(
+                    pull_all(batched.as_mut()),
+                    pull_all(reference.as_mut()),
+                    "outputs, {what}"
+                );
+            }
+            assert_eq!(
+                batched.output_fifo().map(|f| f.high_water()),
+                reference.output_fifo().map(|f| f.high_water()),
+                "FIFO high water, {what}"
+            );
+        }
+        batched.flush();
+        reference.flush();
+        assert_eq!(
+            pull_all(batched.as_mut()),
+            pull_all(reference.as_mut()),
+            "case {c}: outputs after flush"
+        );
+    }
+    for kind in PeKind::all() {
+        assert!(kinds.contains(&kind), "{kind} has no burst case");
     }
 }
